@@ -8,7 +8,7 @@ with its final phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -28,8 +28,6 @@ class _InFlight:
     plan: AccessPlan
     phase_index: int = 0
     outstanding: int = 0
-    children_issued: int = 0
-    child_ids: Dict[int, int] = field(default_factory=dict)
 
 
 class StorageArray:
@@ -89,17 +87,13 @@ class StorageArray:
         flight.outstanding = len(phase)
         if flight.outstanding == 0:  # pragma: no cover - defensive
             raise SimulationError("empty phase in access plan")
+        now = self.events.now_ms
+        logical = flight.logical
+        disks = self.disks
         for child in phase:
-            child_request = Request(
-                arrival_ms=self.events.now_ms,
-                lba=child.lba,
-                sectors=child.sectors,
-                is_write=child.is_write,
-                parent=flight.logical,
+            disks[child.disk].submit(
+                Request(now, child.lba, child.sectors, child.is_write, parent=logical)
             )
-            flight.child_ids[child_request.request_id] = flight.phase_index
-            flight.children_issued += 1
-            self.disks[child.disk].submit(child_request)
 
     def _child_completed(self, child: Request, now: float) -> None:
         if child.parent is None:

@@ -249,15 +249,14 @@ class DiskCache:
             self._max_length = None  # recompute lazily on next lookup
 
     def _install(self, start: int, length: int) -> None:
-        while self._segments and (
-            len(self._segments) >= self.max_segments
-            or self._cached_sectors + length > self.capacity_sectors
-        ):
-            oldest_id = next(iter(self._segments))
-            self._evict(oldest_id)
+        segments = self._segments
+        max_segments = self.max_segments
+        room = self.capacity_sectors - length
+        while segments and (len(segments) >= max_segments or self._cached_sectors > room):
+            self._evict(next(iter(segments)))
         seg_id = self._next_id
-        self._next_id += 1
-        self._segments[seg_id] = (start, length)
+        self._next_id = seg_id + 1
+        segments[seg_id] = (start, length)
         bisect.insort(self._index, (start, seg_id))
         self._use_stamps[seg_id] = self._next_stamp()
         self._cached_sectors += length

@@ -9,7 +9,8 @@ request at a time, drawing the next from its scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.capacity.zones import ZonedSurface
 from repro.errors import SimulationError
@@ -124,6 +125,17 @@ class SimulatedDisk:
     # -- configuration ------------------------------------------------------------
 
     @property
+    def bus_mb_per_s(self) -> float:
+        """Interface transfer rate, decimal MB/s."""
+        return self._bus_mb_per_s
+
+    @bus_mb_per_s.setter
+    def bus_mb_per_s(self, mb_per_s: float) -> None:
+        self._bus_mb_per_s = mb_per_s
+        # Converted once here rather than on every request.
+        self._bus_bytes_per_s = interface_mb_per_s_to_bytes_per_s(mb_per_s)
+
+    @property
     def rpm(self) -> float:
         """Current spindle speed."""
         return self.mechanics.rpm
@@ -174,38 +186,30 @@ class SimulatedDisk:
     # -- service -------------------------------------------------------------------
 
     def _bus_ms(self, sectors: int) -> float:
-        bytes_per_s = interface_mb_per_s_to_bytes_per_s(self.bus_mb_per_s)
-        return seconds_to_ms(sectors * BYTES_PER_SECTOR / bytes_per_s)
+        return seconds_to_ms(sectors * BYTES_PER_SECTOR / self._bus_bytes_per_s)
 
     def _service_time(self, request: Request, now: float) -> float:
         """Service time for a request starting now, updating cache/head."""
-        bus = self._bus_ms(request.sectors)
+        lba = request.lba
+        sectors = request.sectors
+        bus = self._bus_ms(sectors)
+        cache = self.cache
         if request.is_write:
-            if self.cache is not None:
-                self.cache.note_write(request.lba, request.sectors)
-            breakdown, end_cyl = self.mechanics.service(
-                now, self.head_cylinder, request.lba, request.sectors
-            )
-            self._account(breakdown, request)
-            self.head_cylinder = end_cyl
-            return breakdown.total_ms + bus + self._fault_penalty_ms(now)
-        if self.cache is not None and self.cache.lookup_read(request.lba, request.sectors):
+            if cache is not None:
+                cache.note_write(lba, sectors)
+        elif cache is not None and cache.lookup_read(lba, sectors):
             if self._tel is not None:
-                self._tel.record(
-                    now, "cache_hit", self.name, lba=request.lba, sectors=request.sectors
-                )
+                self._tel.record(now, "cache_hit", self.name, lba=lba, sectors=sectors)
             return CACHE_HIT_MS + bus
-        if self._tel is not None and self.cache is not None:
-            self._tel.record(
-                now, "cache_miss", self.name, lba=request.lba, sectors=request.sectors
-            )
-        breakdown, end_cyl = self.mechanics.service(
-            now, self.head_cylinder, request.lba, request.sectors
+        elif self._tel is not None and cache is not None:
+            self._tel.record(now, "cache_miss", self.name, lba=lba, sectors=sectors)
+        breakdown, first_cyl, end_cyl = self.mechanics.access(
+            now, self.head_cylinder, lba, sectors
         )
-        self._account(breakdown, request)
+        self._account(breakdown, first_cyl)
         self.head_cylinder = end_cyl
-        if self.cache is not None:
-            self.cache.fill_after_read(request.lba, request.sectors, self.total_sectors)
+        if cache is not None and not request.is_write:
+            cache.fill_after_read(lba, sectors, self.layout.total_sectors)
         return breakdown.total_ms + bus + self._fault_penalty_ms(now)
 
     def _fault_penalty_ms(self, now: float) -> float:
@@ -236,15 +240,15 @@ class SimulatedDisk:
             self._tel.observe("faults.extra_ms", fault.extra_ms)
         return fault.extra_ms
 
-    def _account(self, breakdown: ServiceBreakdown, request: Request) -> None:
-        self.stats.seek_ms += breakdown.seek_ms
-        self.stats.rotational_ms += breakdown.rotational_ms
-        self.stats.transfer_ms += breakdown.transfer_ms
-        target = self.layout.cylinder_of(request.lba)
-        distance = abs(target - self.head_cylinder)
+    def _account(self, breakdown: ServiceBreakdown, target_cylinder: int) -> None:
+        stats = self.stats
+        stats.seek_ms += breakdown.seek_ms
+        stats.rotational_ms += breakdown.rotational_ms
+        stats.transfer_ms += breakdown.transfer_ms
+        distance = abs(target_cylinder - self.head_cylinder)
         if distance > 0:
-            self.stats.seeks_with_movement += 1
-            self.stats.total_seek_cylinders += distance
+            stats.seeks_with_movement += 1
+            stats.total_seek_cylinders += distance
             if self._tel is not None:
                 self._tel.record(
                     self.events.now_ms,
@@ -272,7 +276,7 @@ class SimulatedDisk:
                 service_ms=service,
             )
             self._tel.observe(f"{self.name}.service_ms", service)
-        self.events.schedule(now + service, lambda t, r=request: self._finish(r, t))
+        self.events.schedule(now + service, partial(self._finish, request))
 
     def _finish(self, request: Request, now: float) -> None:
         request.completion_ms = now
@@ -301,6 +305,48 @@ class SimulatedDisk:
             self.busy = False
 
 
+#: One drive design's rpm-independent geometry, keyed ``(diameter_in,
+#: platters, kbpi, ktpi, zone_count)``.
+_DRIVE_GEOMETRY: Dict[Tuple[float, int, float, float, int], Tuple[DiskLayout, SeekModel]] = {}
+
+
+def drive_geometry(
+    diameter_in: float = 3.3,
+    platters: int = 2,
+    kbpi: float = 480.0,
+    ktpi: float = 30.0,
+    zone_count: int = 30,
+) -> Tuple[DiskLayout, SeekModel]:
+    """The ZBR layout and seek curve of one drive design, built once.
+
+    Both are read-only after construction, so every disk of the same
+    design shares them — an array of N disks, and every replay of the
+    same workload in a process, derives the zone table once instead of
+    once per disk.  Per-disk state (cache, head position, statistics,
+    spindle speed) lives on :class:`SimulatedDisk` and is never shared.
+    """
+    key = (diameter_in, platters, kbpi, ktpi, zone_count)
+    # Per-process memo of a pure function: every process derives the same
+    # read-only layout and seek curve for a key, so copies cannot diverge
+    # observably.
+    # thermolint: disable=TL012
+    cached = _DRIVE_GEOMETRY.get(key)
+    if cached is None:
+        from repro.capacity.recording import RecordingTechnology
+
+        surface = ZonedSurface(
+            platter=Platter(diameter_in=diameter_in),
+            technology=RecordingTechnology.from_kilo_units(kbpi, ktpi),
+            zone_count=zone_count,
+        )
+        cached = (
+            DiskLayout(surface, surfaces=2 * platters),
+            SeekModel(seek_parameters_for_platter(diameter_in), cylinders=surface.cylinders),
+        )
+        _DRIVE_GEOMETRY[key] = cached
+    return cached
+
+
 def standard_disk(
     name: str,
     events: EventQueue,
@@ -320,20 +366,11 @@ def standard_disk(
 
     Uses the library's capacity model to derive the ZBR layout and the
     platter-size seek correlation for the seek curve — the same path the
-    paper uses to synthesize drives "for the appropriate year".
+    paper uses to synthesize drives "for the appropriate year".  The
+    geometry comes from :func:`drive_geometry`, shared by every disk of
+    the design; the cache and all mutable state are the new disk's own.
     """
-    from repro.capacity.recording import RecordingTechnology
-
-    platter = Platter(diameter_in=diameter_in)
-    surface = ZonedSurface(
-        platter=platter,
-        technology=RecordingTechnology.from_kilo_units(kbpi, ktpi),
-        zone_count=zone_count,
-    )
-    layout = DiskLayout(surface, surfaces=2 * platters)
-    seek_model = SeekModel(
-        seek_parameters_for_platter(diameter_in), cylinders=surface.cylinders
-    )
+    layout, seek_model = drive_geometry(diameter_in, platters, kbpi, ktpi, zone_count)
     cache = DiskCache(size_bytes=cache_bytes) if cache_bytes > 0 else None
     return SimulatedDisk(
         name=name,

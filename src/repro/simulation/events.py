@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -73,7 +74,8 @@ class EventQueue:
                 )
             entries.append((time_ms, next(self._counter), callback))
         if not self._heap:
-            self._heap = entries
+            # In place: a running loop holds a reference to this list.
+            self._heap.extend(entries)
             heapq.heapify(self._heap)
         else:
             for entry in entries:
@@ -86,7 +88,8 @@ class EventQueue:
         time_ms, _, callback = heapq.heappop(self._heap)
         if time_ms < self.now_ms - 1e-9:  # pragma: no cover - defensive
             raise SimulationError("event queue time went backwards")
-        self.now_ms = max(self.now_ms, time_ms)
+        if time_ms > self.now_ms:
+            self.now_ms = time_ms
         self._fired += 1
         callback(self.now_ms)
         return True
@@ -100,19 +103,32 @@ class EventQueue:
             max_events: stop after firing this many events (guards against
                 runaway feedback loops in tests).
         """
+        # One loop for every mode: an absent horizon or budget becomes an
+        # unreachable bound, so the per-event path never tests for None.
+        heap = self._heap
+        pop = heapq.heappop
+        horizon = math.inf if until_ms is None else until_ms
+        budget = math.inf if max_events is None else max_events
         fired = 0
-        while self._heap:
-            if until_ms is not None and self._heap[0][0] > until_ms:
-                self.now_ms = max(self.now_ms, until_ms)
-                return
-            if max_events is not None and fired >= max_events:
+        while heap:
+            if heap[0][0] > horizon:
+                break
+            if fired >= budget:
                 raise SimulationError(
                     f"event budget of {max_events} exhausted at t={self.now_ms} ms"
                 )
-            self.step()
+            time_ms, _, callback = pop(heap)
+            now = self.now_ms
+            if time_ms < now - 1e-9:  # pragma: no cover - defensive
+                raise SimulationError("event queue time went backwards")
+            if time_ms > now:
+                self.now_ms = now = time_ms
+            self._fired += 1
+            callback(now)
             fired += 1
-        # The heap drained before the horizon: the simulated clock still
-        # advances to it, so callers scheduling relative to ``now_ms`` after
-        # run() observe the same clock whether or not events filled the span.
-        if until_ms is not None:
-            self.now_ms = max(self.now_ms, until_ms)
+        # The horizon stops the run, or the heap drained before it: either
+        # way the simulated clock advances to it, so callers scheduling
+        # relative to ``now_ms`` after run() observe the same clock whether
+        # or not events filled the span.
+        if until_ms is not None and until_ms > self.now_ms:
+            self.now_ms = until_ms

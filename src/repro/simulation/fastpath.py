@@ -2,10 +2,14 @@
 
 The event-driven simulator (`repro.simulation.system`) is the *exact*
 engine: every request is an event, every seek/rotation/transfer is
-computed scalar by scalar.  That costs roughly a second per 6000-request
-replay — fine for one Figure 4 ladder, painful for the thousands of
-(RPM, platter, workload) points the roadmap experiments sweep.  This
-module adds two faster engines behind the same task interface:
+computed scalar by scalar.  It is itself kept lean (shared per-design
+drive geometry, an allocation-free chunk walk, one event loop) but still
+costs tens of microseconds of host time per request — fine for one
+Figure 4 ladder, painful for the thousands of (RPM, platter, workload)
+points the roadmap experiments sweep.  Its results are pinned byte for
+byte (``tests/test_replay_pins.py``), so the replicas below stay valid
+whenever it is optimized.  This module adds two faster engines behind
+the same task interface:
 
 * **vectorized** — the same simulation, restructured: all per-request
   geometry (LBA→CHS chunks, skewed target angles, transfer times, seek
@@ -114,25 +118,26 @@ _GEOMETRY_CACHE: Dict[str, dict] = {}
 def _workload_geometry(name: str) -> dict:
     """Memoized rpm-independent geometry of a catalog workload's array.
 
-    Builds one member disk (they are identical) and keeps its layout,
-    seek model, full seek-distance table and the array geometry object;
-    every task for this workload — at any RPM — reuses them.
+    Keeps the member disks' shared layout and seek model (from
+    :func:`repro.simulation.disk.drive_geometry`), the array geometry
+    object and, lazily, the full seek-distance table; every task for this
+    workload — at any RPM — reuses them.
     """
     cached = _GEOMETRY_CACHE.get(name)
     if cached is not None:
         return cached
+    from repro.simulation.disk import drive_geometry
     from repro.workloads import workload as lookup
 
     spec = lookup(name)
-    system = spec.build_system()
-    disk = system.disks[0]
+    layout, seek_model = drive_geometry(spec.diameter_in, spec.platters, spec.kbpi, spec.ktpi)
+    geometry = spec.array_geometry()
     cached = {
         "spec": spec,
-        "layout": disk.layout,
-        "seek_model": disk.seek_model,
-        "geometry": system.array.geometry,
-        "logical_sectors": system.array.logical_sectors,
-        "disk_count": len(system.disks),
+        "layout": layout,
+        "seek_model": seek_model,
+        "geometry": geometry,
+        "disk_count": spec.disk_count,
         "seek_table": None,  # filled lazily (needs numpy)
     }
     # Per-process memo of a pure builder: every process computes identical
@@ -165,27 +170,15 @@ _TRACE_CACHE_MAX = 8
 
 
 def _generate_trace(task: "WorkloadTask", geo: dict):
-    """The task's trace, generated without rebuilding the storage system.
-
-    Identical to ``spec.generate(...)`` — same shape, same capacity, same
-    seed — but reuses the memoized logical capacity instead of building a
-    throwaway system per point, and caches the result across the RPM
-    ladder.
-    """
+    """The task's trace (``spec.generate``), cached across the RPM
+    ladder."""
     key = (task.workload, task.requests, task.seed)
     # Pure memo keyed on the full task identity: regeneration in any
     # process yields a bit-identical trace, so divergence is impossible.
     # thermolint: disable=TL012
     trace = _TRACE_CACHE.get(key)
     if trace is None:
-        from repro.workloads.synthetic import generate_trace
-
-        trace = generate_trace(
-            shape=geo["spec"].shape,
-            num_requests=task.requests,
-            capacity_sectors=geo["logical_sectors"],
-            seed=task.seed,
-        )
+        trace = geo["spec"].generate(num_requests=task.requests, seed=task.seed)
         while len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
             _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
         _TRACE_CACHE[key] = trace

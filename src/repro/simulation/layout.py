@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.capacity.zones import ZonedSurface
 from repro.errors import SimulationError
@@ -69,28 +69,32 @@ class DiskLayout:
         """Number of cylinders."""
         return self.surface.cylinders
 
-    def _zone_index(self, lba: int) -> int:
+    def locate(self, lba: int) -> SectorAddress:
+        """Physical address of an LBA."""
+        cylinder, surface, sector, spt = self.locate_tuple(lba)
+        return SectorAddress(
+            cylinder=cylinder,
+            surface=surface,
+            sector=sector,
+            zone=bisect_right(self._zone_start_lba, lba) - 1,
+            sectors_per_track=spt,
+        )
+
+    def locate_tuple(self, lba: int) -> Tuple[int, int, int, int]:
+        """:meth:`locate` as a plain ``(cylinder, surface, sector,
+        sectors_per_track)`` tuple.
+
+        The timing engine's per-chunk lookup: same range check, same
+        integer arithmetic, no address object built.
+        """
         if not 0 <= lba < self.total_sectors:
             raise SimulationError(
                 f"LBA {lba} out of range [0, {self.total_sectors})"
             )
-        return bisect_right(self._zone_start_lba, lba) - 1
-
-    def locate(self, lba: int) -> SectorAddress:
-        """Physical address of an LBA."""
-        z = self._zone_index(lba)
+        z = bisect_right(self._zone_start_lba, lba) - 1
         spt = self._zone_spt[z]
-        per_cylinder = spt * self.surfaces
-        rel = lba - self._zone_start_lba[z]
-        cylinder = self._zone_start_cyl[z] + rel // per_cylinder
-        rem = rel % per_cylinder
-        return SectorAddress(
-            cylinder=cylinder,
-            surface=rem // spt,
-            sector=rem % spt,
-            zone=z,
-            sectors_per_track=spt,
-        )
+        rel_cylinder, rem = divmod(lba - self._zone_start_lba[z], spt * self.surfaces)
+        return self._zone_start_cyl[z] + rel_cylinder, rem // spt, rem % spt, spt
 
     def lba_of(self, cylinder: int, surface: int, sector: int) -> int:
         """Inverse of :func:`locate`."""
@@ -115,7 +119,7 @@ class DiskLayout:
 
     def cylinder_of(self, lba: int) -> int:
         """Cylinder containing an LBA (cheaper than full :func:`locate`)."""
-        return self.locate(lba).cylinder
+        return self.locate_tuple(lba)[0]
 
     def _lookup_tables(self) -> tuple:
         """Per-zone numpy arrays backing :meth:`locate_batch` (lazy).

@@ -15,9 +15,9 @@ across the large RPM sweeps of the paper's Figure 4 experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
-from repro.errors import SimulationError
-from repro.performance.rotation import wait_for_angle_ms
+from repro.errors import ReproError, SimulationError
 from repro.performance.seek import SeekModel
 from repro.simulation.layout import DiskLayout
 from repro.units import rotation_time_ms
@@ -116,51 +116,96 @@ class DiskMechanics:
             (breakdown, final_cylinder): the timing decomposition and the
             cylinder the head ends on.
         """
+        breakdown, _, final_cylinder = self.access(start_ms, head_cylinder, lba, sectors)
+        return breakdown, final_cylinder
+
+    def access(
+        self,
+        start_ms: float,
+        head_cylinder: int,
+        lba: int,
+        sectors: int,
+    ) -> Tuple[ServiceBreakdown, int, int]:
+        """:meth:`service` plus the cylinder the access starts on.
+
+        Returns ``(breakdown, first_cylinder, final_cylinder)``;
+        ``first_cylinder`` is the cylinder of ``lba``, the seek target.
+
+        This is the simulator's per-request hot path, so it walks the
+        chunks with the layout's tuple lookup and evaluates
+        :meth:`sector_angle` and
+        :func:`repro.performance.rotation.wait_for_angle_ms` inline — the
+        same floating-point operations in the same order, and the same
+        range checks (sector, target angle, time >= 0).
+        """
         if sectors <= 0:
             raise SimulationError(f"sectors must be positive, got {sectors}")
-        if lba + sectors > self.layout.total_sectors:
+        layout = self.layout
+        if lba + sectors > layout.total_sectors:
             raise SimulationError(
                 f"access [{lba}, {lba + sectors}) exceeds disk size "
-                f"{self.layout.total_sectors}"
+                f"{layout.total_sectors}"
             )
-        breakdown = ServiceBreakdown(overhead_ms=self.controller_overhead_ms)
-        t = start_ms + self.controller_overhead_ms
+        locate = layout.locate_tuple
+        seek_time_ms = self.seek_model.seek_time_ms
+        settle = self.settle_ms
+        head_switch = self.head_switch_ms
+        period = self.period_ms
+        cylinder_skew = self.cylinder_skew_rev
+        track_skew = self.track_skew_rev
+        overhead = self.controller_overhead_ms
+        seek_ms = rotational_ms = head_switch_ms = transfer_ms = 0.0
+        t = start_ms + overhead
         current_cylinder = head_cylinder
         current_surface = None
         remaining = sectors
         position = lba
-        first_segment = True
-        while remaining > 0:
-            addr = self.layout.locate(position)
-            if addr.cylinder != current_cylinder:
-                distance = abs(addr.cylinder - current_cylinder)
-                seek = self.seek_model.seek_time_ms(distance) + self.settle_ms
-                breakdown.seek_ms += seek
+        cylinder, surface, sector, spt = locate(position)
+        first_cylinder = cylinder
+        while True:
+            if cylinder != current_cylinder:
+                seek = seek_time_ms(abs(cylinder - current_cylinder)) + settle
+                seek_ms += seek
                 t += seek
-                current_cylinder = addr.cylinder
-                current_surface = addr.surface
-            elif current_surface is not None and addr.surface != current_surface:
-                breakdown.head_switch_ms += self.head_switch_ms
-                t += self.head_switch_ms
-                current_surface = addr.surface
-            else:
-                current_surface = addr.surface
-            target = self.sector_angle(addr.cylinder, addr.surface, addr.sector)
-            wait = wait_for_angle_ms(t, target, self.rpm)
-            if first_segment:
-                breakdown.rotational_ms += wait
-                first_segment = False
-            else:
-                # Post-switch alignment; with well-chosen skews this is small.
-                breakdown.rotational_ms += wait
+                current_cylinder = cylinder
+            elif current_surface is not None and surface != current_surface:
+                head_switch_ms += head_switch
+                t += head_switch
+            current_surface = surface
+            if not 0 <= sector < spt:
+                raise SimulationError(f"sector {sector} out of range (spt {spt})")
+            target = (
+                sector / spt + (cylinder * cylinder_skew + surface * track_skew) % 1.0
+            ) % 1.0
+            if not 0.0 <= target < 1.0:
+                raise ReproError(f"target angle must be in [0, 1), got {target}")
+            if t < 0:
+                raise ReproError(f"time cannot be negative, got {t}")
+            # After a switch or one-track seek this wait is the skew
+            # alignment; with well-chosen skews it is small.
+            delta = (target - (t / period) % 1.0) % 1.0
+            if delta >= 1.0:
+                # Float artifact: (-epsilon) % 1.0 can return exactly 1.0;
+                # the head is already on target.
+                delta = 0.0
+            wait = delta * period
+            rotational_ms += wait
             t += wait
-            chunk = min(remaining, addr.sectors_per_track - addr.sector)
-            transfer = chunk * self.period_ms / addr.sectors_per_track
-            breakdown.transfer_ms += transfer
+            chunk = spt - sector
+            if remaining < chunk:
+                chunk = remaining
+            transfer = chunk * period / spt
+            transfer_ms += transfer
             t += transfer
             remaining -= chunk
+            if remaining <= 0:
+                break
             position += chunk
-        return breakdown, current_cylinder
+            cylinder, surface, sector, spt = locate(position)
+        breakdown = ServiceBreakdown(
+            overhead, seek_ms, rotational_ms, head_switch_ms, transfer_ms
+        )
+        return breakdown, first_cylinder, current_cylinder
 
     def average_access_ms(self) -> float:
         """Rule-of-thumb random access time: average seek + half rotation."""

@@ -14,6 +14,7 @@ concurrently, and a phase may only start when the previous one finished
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -178,16 +179,18 @@ class Raid5Geometry(ArrayGeometry):
         return self._plan_write(request)
 
     def _plan_write(self, request: Request) -> AccessPlan:
+        data_disks = self.data_disks
+        stripe_unit = self.stripe_unit
         by_row: Dict[int, List[Tuple[int, int, int]]] = {}
         for unit, offset, length in self._units(request):
-            by_row.setdefault(unit // self.data_disks, []).append((unit, offset, length))
+            by_row.setdefault(unit // data_disks, []).append((unit, offset, length))
         pre_reads: List[ChildAccess] = []
         writes: List[ChildAccess] = []
         for row, runs in sorted(by_row.items()):
             parity = self.parity_disk(row)
-            parity_lba = row * self.stripe_unit
-            full_units = {u for u, off, ln in runs if off == 0 and ln == self.stripe_unit}
-            full_stripe = len(full_units) == self.data_disks
+            parity_lba = row * stripe_unit
+            full_units = {u for u, off, ln in runs if off == 0 and ln == stripe_unit}
+            full_stripe = len(full_units) == data_disks
             for unit, offset, length in runs:
                 disk, start = self.locate_unit(unit)
                 writes.append(
@@ -198,12 +201,12 @@ class Raid5Geometry(ArrayGeometry):
                         ChildAccess(disk=disk, lba=start + offset, sectors=length, is_write=False)
                     )
             writes.append(
-                ChildAccess(disk=parity, lba=parity_lba, sectors=self.stripe_unit, is_write=True)
+                ChildAccess(disk=parity, lba=parity_lba, sectors=stripe_unit, is_write=True)
             )
             if not full_stripe:
                 pre_reads.append(
                     ChildAccess(
-                        disk=parity, lba=parity_lba, sectors=self.stripe_unit, is_write=False
+                        disk=parity, lba=parity_lba, sectors=stripe_unit, is_write=False
                     )
                 )
         phases: List[List[ChildAccess]] = []
@@ -255,10 +258,16 @@ class Raid1Geometry(ArrayGeometry):
         return AccessPlan(phases=[[child]])
 
 
+#: Sort key of :func:`_coalesce`: disk, then direction, then address.
+_COALESCE_ORDER = attrgetter("disk", "is_write", "lba")
+
+
 def _coalesce(children: Sequence[ChildAccess]) -> List[ChildAccess]:
     """Merge physically contiguous same-disk, same-direction accesses."""
+    if len(children) < 2:
+        return list(children)
     merged: List[ChildAccess] = []
-    for child in sorted(children, key=lambda c: (c.disk, c.is_write, c.lba)):
+    for child in sorted(children, key=_COALESCE_ORDER):
         if (
             merged
             and merged[-1].disk == child.disk

@@ -38,6 +38,7 @@ standard exporters (JSON / CSV / Prometheus) report them.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -65,11 +66,9 @@ from repro.simulation.backends import (
     ExecutionBackend,
     InFlight,
     TaskEnvelope,
-    guarded_call,
     resolve_backend,
     resolve_backend_name,
 )
-from repro.simulation.backends.process import reap_executor
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
@@ -82,12 +81,6 @@ MANIFEST_SCHEMA = "repro.sweep_manifest/2"
 #: ``process`` / ``shared-store``), a ready instance, or None (resolve
 #: from ``REPRO_SWEEP_BACKEND``, default ``process``).
 BackendSpec = Optional[Union[str, ExecutionBackend]]
-
-# Backwards-compatible aliases: these moved into
-# ``repro.simulation.backends`` when the execution layer became
-# pluggable; existing imports (tests, embedders) keep working.
-_guarded_call = guarded_call
-_kill_pool = reap_executor
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -218,11 +211,23 @@ def _backoff_sleep(backoff_s: float, attempt: int) -> None:
         time.sleep(backoff_s * (2.0 ** (attempt - 2)))
 
 
-def _backend_label(backend: BackendSpec) -> str:
-    """The name a backend spec would resolve to (no construction)."""
+def _backend_label(backend: BackendSpec, workers: Optional[int]) -> str:
+    """The name a backend spec would resolve to (no construction).
+
+    Applies :func:`resolve_backend`'s rule that a ``process`` request
+    over at most one worker runs serially, so a sweep with nothing to
+    run (every point a store hit) records the same backend as one that
+    computed.
+    """
     if isinstance(backend, ExecutionBackend):
         return backend.name
-    return resolve_backend_name(backend)
+    name = resolve_backend_name(backend)
+    if name == "process":
+        from repro.simulation.sweep import resolve_workers
+
+        if resolve_workers(workers, sys.maxsize) <= 1:
+            return "serial"
+    return name
 
 
 def run_sweep_resilient(
@@ -288,7 +293,7 @@ def run_sweep_resilient(
     counters = _Counters(telemetry)
     counters.count("sweep.tasks_total", float(len(tasks)))
     if not tasks:
-        return SweepRunReport(envelopes=[], backend=_backend_label(backend))
+        return SweepRunReport(envelopes=[], backend=_backend_label(backend, workers))
     resolved = resolve_backend(
         backend, tasks, worker, workers=workers, counters=counters.count
     )

@@ -525,11 +525,6 @@ def effective_store(
     return ResultStore()
 
 
-#: Backward-compatible alias (the helper went public for the fleet
-#: sweep front-ends; the behaviour is unchanged).
-_effective_store = effective_store
-
-
 def sweep_workloads(
     names: Sequence[str],
     rpms: Optional[Sequence[float]] = None,

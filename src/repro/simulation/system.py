@@ -16,7 +16,7 @@ if TYPE_CHECKING:  # pragma: no cover - cycle broken at runtime
     from repro.faults import FaultConfig
     from repro.telemetry import Telemetry
 from repro.simulation.array import StorageArray
-from repro.simulation.disk import SimulatedDisk, standard_disk
+from repro.simulation.disk import SimulatedDisk, drive_geometry, standard_disk
 from repro.simulation.events import EventQueue
 from repro.simulation.raid import ArrayGeometry, Raid0Geometry, Raid5Geometry
 from repro.simulation.request import Request
@@ -232,8 +232,10 @@ def build_system(
     """
     if disk_count < 1:
         raise SimulationError(f"disk count must be >= 1, got {disk_count}")
-    if disk_capacity_gb <= 0:
-        raise SimulationError("disk capacity must be positive")
+    layout, _ = drive_geometry(diameter_in, platters, kbpi, ktpi, zone_count)
+    geometry = array_geometry(
+        disk_count, disk_capacity_gb, layout.total_sectors, raid5, stripe_unit_sectors
+    )
     events = EventQueue()
     disks: List[SimulatedDisk] = []
     from repro.simulation.scheduler import make_scheduler
@@ -266,15 +268,31 @@ def build_system(
             subject=disk.name,
         )
         disks.append(disk)
-    requested_sectors = int(disk_capacity_gb * GB_MARKETING) // 512
-    per_disk = min(requested_sectors, disks[0].total_sectors)
-    if per_disk < stripe_unit_sectors:
-        raise SimulationError("per-disk capacity below one stripe unit")
-    geometry: ArrayGeometry
-    if raid5:
-        geometry = Raid5Geometry(disk_count, stripe_unit_sectors, per_disk)
-    else:
-        geometry = Raid0Geometry(disk_count, stripe_unit_sectors, per_disk)
     return StorageSystem(
         disks=disks, geometry=geometry, events=events, telemetry=telemetry
     )
+
+
+def array_geometry(
+    disk_count: int,
+    disk_capacity_gb: float,
+    disk_sectors: int,
+    raid5: bool = False,
+    stripe_unit_sectors: int = 16,
+) -> ArrayGeometry:
+    """The striping geometry :func:`build_system` lays over its disks.
+
+    ``disk_sectors`` is one member disk's media size; ``disk_capacity_gb``
+    clips the usable portion of it.  Needs no disks, so callers that only
+    want the logical capacity (trace generation) get it without building
+    a system.
+    """
+    if disk_capacity_gb <= 0:
+        raise SimulationError("disk capacity must be positive")
+    requested_sectors = int(disk_capacity_gb * GB_MARKETING) // 512
+    per_disk = min(requested_sectors, disk_sectors)
+    if per_disk < stripe_unit_sectors:
+        raise SimulationError("per-disk capacity below one stripe unit")
+    if raid5:
+        return Raid5Geometry(disk_count, stripe_unit_sectors, per_disk)
+    return Raid0Geometry(disk_count, stripe_unit_sectors, per_disk)

@@ -13,10 +13,12 @@ facade that instrumented components share:
 **Off by default, off means free.**  Instrumented components take an
 ``Optional[Telemetry]`` defaulting to ``None`` and guard every hook with
 a single ``is not None`` check, so the untelemetered hot path pays one
-pointer comparison per hook (asserted <2% end-to-end by the tier-1
-overhead-guard test).  A :class:`Telemetry` object can also be *disabled*
+pointer comparison per hook.  A :class:`Telemetry` object can also be *disabled*
 (``enabled=False``) which turns its ``record``/``count``/``observe``
-helpers into early returns, for callers that prefer unconditional calls.
+helpers into early returns, for callers that prefer unconditional calls;
+components normalize it to ``None`` (:func:`maybe`), and a tier-1 spy
+test asserts a disabled replay never reaches the registry, the trace or
+the probe set.
 
 Typical use::
 

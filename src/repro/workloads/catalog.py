@@ -19,6 +19,7 @@ from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.faults import FaultConfig
+    from repro.simulation.raid import ArrayGeometry
     from repro.simulation.system import StorageSystem
     from repro.telemetry import Telemetry
 
@@ -90,6 +91,21 @@ class WorkloadSpec:
             fault_config=fault_config,
         )
 
+    def array_geometry(self) -> "ArrayGeometry":
+        """The system's striping geometry (and so its logical capacity),
+        derived from the shared drive geometry without building disks."""
+        from repro.simulation.disk import drive_geometry
+        from repro.simulation.system import array_geometry
+
+        layout, _ = drive_geometry(self.diameter_in, self.platters, self.kbpi, self.ktpi)
+        return array_geometry(
+            self.disk_count,
+            self.disk_capacity_gb,
+            layout.total_sectors,
+            self.raid5,
+            self.stripe_unit_sectors,
+        )
+
     def generate(
         self,
         num_requests: Optional[int] = None,
@@ -97,8 +113,7 @@ class WorkloadSpec:
         rate_scale: float = 1.0,
     ) -> Trace:
         """Generate the synthetic trace, sized to the system's capacity."""
-        system = self.build_system()
-        capacity = system.array.logical_sectors
+        capacity = self.array_geometry().logical_sectors
         # Exact sentinel check: 1.0 means "caller passed the default", not a
         # computed rate.  # thermolint: disable=TL002
         shape = self.shape if rate_scale == 1.0 else self.shape.scaled_rate(rate_scale)

@@ -225,6 +225,30 @@ def test_zero_worker_process_request_resolves_to_serial():
     assert report.results() == [1, 4]
 
 
+@pytest.mark.parametrize("workers", [0, 1])
+def test_all_hit_process_sweep_over_one_worker_reports_serial(workers, tmp_path):
+    """An all-hit sweep runs nothing, but its report must still name the
+    backend a computing run would have used: ``process`` over <= 1
+    worker is ``serial``."""
+    store = ResultStore(root=tmp_path)
+    tasks = [2, 3]
+    keys = [_task_key(i) for i in range(len(tasks))]
+
+    def cached_run():
+        return run_sweep_cached(
+            tasks, _square, store,
+            key_fn=lambda t: keys[tasks.index(t)],
+            encode=_identity, decode=_identity,
+            kind="backend_conformance", workers=workers, backend="process",
+        )
+
+    cold = cached_run()
+    warm = cached_run()
+    assert warm.store_hits == len(tasks) and warm.store_misses == 0
+    assert warm.results() == cold.results() == [4, 9]
+    assert cold.backend == warm.backend == "serial"
+
+
 # ---------------------------------------------------------------------------
 # Direct protocol drives: ordering, buffering, cancel semantics
 # ---------------------------------------------------------------------------

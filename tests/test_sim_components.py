@@ -13,6 +13,8 @@ from repro.simulation import (
     SSTFScheduler,
     make_scheduler,
 )
+from repro.simulation.disk import drive_geometry
+from repro.workloads import workload
 
 
 class TestDiskCache:
@@ -208,6 +210,50 @@ class TestSimulatedDisk:
         small_disk.submit(Request(arrival_ms=0.0, lba=0, sectors=8))
         events.run()
         assert 0.0 < small_disk.stats.utilization(events.now_ms) <= 1.0
+
+
+class TestSharedDriveGeometry:
+    """Disks of one design share read-only geometry and nothing else."""
+
+    def test_systems_from_one_spec_share_geometry_not_state(self):
+        spec = workload("tpcc")
+        first = spec.build_system()
+        second = spec.build_system(rpm=spec.base_rpm + 5000.0)
+        disks = first.disks + second.disks
+        assert len({id(d.layout) for d in disks}) == 1
+        assert len({id(d.seek_model) for d in disks}) == 1
+        for attr in ("cache", "stats", "mechanics", "scheduler"):
+            assert len({id(getattr(d, attr)) for d in disks}) == len(disks), attr
+        assert first.events is not second.events
+
+        first.run_trace(spec.generate(num_requests=200, seed=3))
+        assert any(d.head_cylinder != 0 for d in first.disks)
+        assert all(d.head_cylinder == 0 for d in second.disks)
+        assert all(d.stats.requests_completed == 0 for d in second.disks)
+        assert all(len(d.cache) == 0 for d in second.disks)
+
+        first.disks[0].set_rpm(spec.base_rpm + 10000.0)
+        assert first.disks[1].rpm == spec.base_rpm
+        assert all(d.rpm == spec.base_rpm + 5000.0 for d in second.disks)
+
+    def test_drive_geometry_is_memoized_per_design(self):
+        layout, seek = drive_geometry(2.6, 1, 300.0, 10.0, 10)
+        assert drive_geometry(2.6, 1, 300.0, 10.0, 10) == (layout, seek)
+        other, _ = drive_geometry(2.6, 2, 300.0, 10.0, 10)
+        assert other is not layout
+        assert other.surface is not layout.surface
+
+    def test_capacity_needs_no_system(self, monkeypatch):
+        spec = workload("openmail")
+        expected = spec.build_system().array.logical_sectors
+        assert spec.array_geometry().logical_sectors == expected
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace generation built a storage system")
+
+        monkeypatch.setattr(type(spec), "build_system", refuse)
+        trace = spec.generate(num_requests=50, seed=1)
+        assert trace.max_lba() <= expected
 
 
 class TestResponseTimeStats:

@@ -1,8 +1,11 @@
 """Simulator core tests: event queue, requests, layout, mechanics."""
 
+import random
+
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
+from repro.performance.rotation import wait_for_angle_ms
 from repro.simulation import Request
 from repro.simulation.layout import DiskLayout
 from repro.simulation.mechanics import DiskMechanics
@@ -73,6 +76,36 @@ class TestEventQueue:
             events.schedule(float(i), lambda t: None)
         events.run()
         assert events.events_fired == 5
+
+    def test_batch_scheduled_from_callback_fires(self, events):
+        # The callback runs with the queue empty (it was the last event),
+        # so the batch lands on an empty heap while run() is mid-loop.
+        fired = []
+
+        def spawn(t):
+            fired.append(("spawn", t))
+            events.schedule_batch(
+                [(t + 2.0, lambda t2: fired.append(("b", t2))),
+                 (t + 1.0, lambda t2: fired.append(("a", t2)))]
+            )
+
+        events.schedule(1.0, spawn)
+        events.run()
+        assert fired == [("spawn", 1.0), ("a", 2.0), ("b", 3.0)]
+        assert len(events) == 0
+
+    def test_horizon_checked_before_budget(self, events):
+        fired = []
+        for i in range(3):
+            events.schedule(float(i), lambda t: fired.append(t))
+        events.schedule(10.0, lambda t: fired.append(t))
+        # Three events fit the budget; the fourth lies past the horizon,
+        # which stops the run before the exhausted budget is noticed.
+        events.run(until_ms=5.0, max_events=3)
+        assert fired == [0.0, 1.0, 2.0]
+        assert events.now_ms == 5.0
+        with pytest.raises(SimulationError, match="budget of 0"):
+            events.run(max_events=0)
 
 
 class TestRequest:
@@ -155,6 +188,19 @@ class TestDiskLayout:
         with pytest.raises(SimulationError):
             layout.lba_of(0, 0, 10**9)
 
+    def test_locate_tuple_matches_locate(self, layout):
+        step = max(layout.total_sectors // 997, 1)
+        for lba in list(range(0, layout.total_sectors, step)) + [layout.total_sectors - 1]:
+            addr = layout.locate(lba)
+            assert layout.locate_tuple(lba) == (
+                addr.cylinder, addr.surface, addr.sector, addr.sectors_per_track
+            )
+            assert addr.sectors_per_track == layout.sectors_per_track_at(addr.cylinder)
+        with pytest.raises(SimulationError):
+            layout.locate_tuple(layout.total_sectors)
+        with pytest.raises(SimulationError):
+            layout.locate_tuple(-1)
+
     def test_sectors_per_track_decreases_inward(self, layout):
         outer = layout.sectors_per_track_at(0)
         inner = layout.sectors_per_track_at(layout.cylinders - 1)
@@ -170,7 +216,71 @@ def mechanics(layout):
     return DiskMechanics(layout, seek, rpm=15000.0)
 
 
+def _reference_service(mechanics, start_ms, head_cylinder, lba, sectors):
+    """The chunk walk spelled out with the public per-step helpers
+    (:meth:`DiskLayout.locate`, :meth:`DiskMechanics.sector_angle`,
+    :func:`wait_for_angle_ms`), against which the inlined hot path must
+    agree bit for bit."""
+    seek = rotational = switch = transfer = 0.0
+    t = start_ms + mechanics.controller_overhead_ms
+    cylinder, surface = head_cylinder, None
+    remaining, position = sectors, lba
+    while remaining > 0:
+        addr = mechanics.layout.locate(position)
+        if addr.cylinder != cylinder:
+            step = (
+                mechanics.seek_model.seek_time_ms(abs(addr.cylinder - cylinder))
+                + mechanics.settle_ms
+            )
+            seek += step
+            t += step
+            cylinder = addr.cylinder
+        elif surface is not None and addr.surface != surface:
+            switch += mechanics.head_switch_ms
+            t += mechanics.head_switch_ms
+        surface = addr.surface
+        target = mechanics.sector_angle(addr.cylinder, addr.surface, addr.sector)
+        wait = wait_for_angle_ms(t, target, mechanics.rpm)
+        rotational += wait
+        t += wait
+        chunk = min(remaining, addr.sectors_per_track - addr.sector)
+        moved = chunk * mechanics.period_ms / addr.sectors_per_track
+        transfer += moved
+        t += moved
+        remaining -= chunk
+        position += chunk
+    return (seek, rotational, switch, transfer), cylinder
+
+
 class TestDiskMechanics:
+    @pytest.mark.parametrize("rpm", [15000.0, 10000.0, 12345.0])
+    def test_access_matches_reference_walk_bitwise(self, mechanics, layout, rpm):
+        # 15,000 RPM has a power-of-two period (4 ms), which hides
+        # reordered divisions; the other speeds do not.
+        mechanics = DiskMechanics(layout, mechanics.seek_model, rpm=rpm)
+        rng = random.Random(7)
+        spt = layout.sectors_per_track_at(0)
+        for _ in range(400):
+            sectors = rng.choice([1, 8, 64, spt - 1, spt + 3, 3 * spt])
+            lba = rng.randrange(layout.total_sectors - sectors)
+            head = rng.randrange(layout.cylinders)
+            start = rng.uniform(0.0, 5000.0)
+            breakdown, first, final = mechanics.access(start, head, lba, sectors)
+            parts, ref_final = _reference_service(mechanics, start, head, lba, sectors)
+            assert (
+                breakdown.seek_ms,
+                breakdown.rotational_ms,
+                breakdown.head_switch_ms,
+                breakdown.transfer_ms,
+            ) == parts
+            assert final == ref_final
+            assert first == layout.cylinder_of(lba)
+            assert mechanics.service(start, head, lba, sectors) == (breakdown, final)
+
+    def test_access_rejects_negative_time(self, mechanics):
+        with pytest.raises(ReproError, match="time cannot be negative"):
+            mechanics.access(-5.0, 0, 0, 1)
+
     def test_single_sector_read_components(self, mechanics):
         breakdown, end_cyl = mechanics.service(0.0, 0, 0, 1)
         assert breakdown.seek_ms == 0.0

