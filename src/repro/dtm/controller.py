@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Deque, Optional, Sized
 
 from repro.constants import THERMAL_ENVELOPE_C
 from repro.dtm.multispeed import MultiSpeedProfile
@@ -174,42 +175,22 @@ class ThermallyManagedSystem:
                 threshold below the cooling-mode steady temperature keeps
                 the gate shut forever), a DTMError is raised.
         """
-        events = self.system.events
-        last_arrival = 0.0
-        for record in trace:
-            last_arrival = max(last_arrival, record.time_ms)
-            request = Request(
-                arrival_ms=record.time_ms,
-                lba=record.lba,
-                sectors=record.sectors,
-                is_write=record.is_write,
-            )
-            events.schedule(record.time_ms, lambda t, r=request: self._arrive(r))
-        self._schedule_check()
-        deadline = last_arrival + max_extra_ms
-        # Run until all I/O completes; the periodic check event keeps the
-        # queue non-empty, so run until only checks remain and the gate is
-        # drained.
-        while len(events) > 0:
-            events.step()
-            if (
-                self.system.array.in_flight() == 0
-                and not self._gated
-                and events_only_checks(events)
-            ):
-                break
-            if events.now_ms > deadline:
-                raise DTMError(
-                    "DTM controller never drained the workload: the policy "
-                    "appears unable to resume (is the resume threshold below "
-                    "the cooling-mode steady temperature?)"
-                )
-        self.report.simulated_ms = events.now_ms
+        self.report.simulated_ms = _replay_under_control(
+            self.system,
+            trace,
+            self._arrive,
+            self._schedule_check,
+            self._gated,
+            max_extra_ms,
+            "DTM controller never drained the workload: the policy "
+            "appears unable to resume (is the resume threshold below "
+            "the cooling-mode steady temperature?)",
+        )
         return self.report
 
     # -- internals ---------------------------------------------------------------------
 
-    def _arrive(self, request: Request) -> None:
+    def _arrive(self, request: Request, now_ms: float) -> None:
         if self.gate_open:
             self.system.array.submit(request)
         else:
@@ -224,7 +205,13 @@ class ThermallyManagedSystem:
         interval_ms = now_ms - self._last_check_ms
         self._last_check_ms = now_ms
         if interval_ms > 0:
-            self._advance_thermal(interval_ms)
+            self._busy_snapshot = _advance_thermal(
+                self.system,
+                self.thermal,
+                interval_ms,
+                self._busy_snapshot,
+                gated=not self.gate_open,
+            )
         air = self.thermal.air_c()
         self.report.max_air_c = max(self.report.max_air_c, air)
         if self._tel is not None:
@@ -252,14 +239,6 @@ class ThermallyManagedSystem:
             or self._gated
         ):
             self._schedule_check()
-
-    def _advance_thermal(self, interval_ms: float) -> None:
-        busy_now = sum(d.stats.busy_ms for d in self.system.disks)
-        delta_busy = busy_now - self._busy_snapshot
-        self._busy_snapshot = busy_now
-        duty = min(delta_busy / (interval_ms * len(self.system.disks)), 1.0)
-        self.thermal.set_vcm_duty(0.0 if not self.gate_open else duty)
-        self.thermal.network.step(interval_ms / 1000.0)
 
     def _engage_throttle(self) -> None:
         self.gate_open = False
@@ -348,6 +327,65 @@ def events_only_checks(events: EventQueue) -> bool:
     return len(events) <= 1
 
 
+def _replay_under_control(
+    system: StorageSystem,
+    trace: Trace,
+    arrive: Callable[[Request, float], None],
+    schedule_check: Callable[[], None],
+    held: Sized,
+    max_extra_ms: float,
+    stall_message: str,
+) -> float:
+    """Replay a trace through a controller's ``arrive(request, now_ms)``
+    hook and periodic check; returns the simulated drain time.
+
+    Runs until all I/O completes, nothing is ``held`` back by the
+    controller and only its self-rescheduling check remains queued;
+    raises a DTMError with ``stall_message`` once it runs
+    ``max_extra_ms`` past the last arrival without draining.
+    """
+    events = system.events
+    last_arrival = 0.0
+    arrivals = []
+    for record in trace:
+        last_arrival = max(last_arrival, record.time_ms)
+        request = Request(
+            arrival_ms=record.time_ms,
+            lba=record.lba,
+            sectors=record.sectors,
+            is_write=record.is_write,
+        )
+        arrivals.append((record.time_ms, partial(arrive, request)))
+    events.schedule_batch(arrivals)
+    schedule_check()
+    deadline = last_arrival + max_extra_ms
+    while len(events) > 0:
+        events.step()
+        if system.array.in_flight() == 0 and not held and events_only_checks(events):
+            break
+        if events.now_ms > deadline:
+            raise DTMError(stall_message)
+    return events.now_ms
+
+
+def _advance_thermal(
+    system: StorageSystem,
+    thermal: DriveThermalModel,
+    interval_ms: float,
+    busy_snapshot_ms: float,
+    gated: bool = False,
+) -> float:
+    """Step the thermal model over one controller interval, with the VCM
+    heat scaled by the members' busy duty since ``busy_snapshot_ms`` (zero
+    while ``gated``); returns the new busy-time snapshot."""
+    busy_ms = sum(d.stats.busy_ms for d in system.disks)
+    delta_ms = busy_ms - busy_snapshot_ms
+    duty = min(delta_ms / (interval_ms * len(system.disks)), 1.0)
+    thermal.set_vcm_duty(0.0 if gated else duty)
+    thermal.network.step(interval_ms / 1000.0)
+    return busy_ms
+
+
 class PolicyManagedSystem:
     """A storage system driven by a pluggable :class:`ThermalPolicy`.
 
@@ -416,35 +454,18 @@ class PolicyManagedSystem:
             max_extra_ms: runaway guard past the last arrival (see
                 :meth:`ThermallyManagedSystem.run_trace`).
         """
-        events = self.system.events
-        last_arrival = 0.0
-        for record in trace:
-            last_arrival = max(last_arrival, record.time_ms)
-            request = Request(
-                arrival_ms=record.time_ms,
-                lba=record.lba,
-                sectors=record.sectors,
-                is_write=record.is_write,
-            )
-            events.schedule(record.time_ms, lambda t, r=request: self._arrive(r, t))
-        self._schedule_check()
-        deadline = last_arrival + max_extra_ms
-        while len(events) > 0:
-            events.step()
-            if (
-                self.system.array.in_flight() == 0
-                and not self._pending
-                and events_only_checks(events)
-            ):
-                break
-            if events.now_ms > deadline:
-                raise DTMError(
-                    "policy never drained the workload within the guard "
-                    "window: it cannot recover admission at this design "
-                    "point (check thresholds against the cooling-mode "
-                    "steady temperature)"
-                )
-        self.report.simulated_ms = events.now_ms
+        self.report.simulated_ms = _replay_under_control(
+            self.system,
+            trace,
+            self._arrive,
+            self._schedule_check,
+            self._pending,
+            max_extra_ms,
+            "policy never drained the workload within the guard "
+            "window: it cannot recover admission at this design "
+            "point (check thresholds against the cooling-mode "
+            "steady temperature)",
+        )
         return self.report
 
     # -- internals -----------------------------------------------------------------
@@ -476,7 +497,9 @@ class PolicyManagedSystem:
         interval = now - self._last_check_ms
         self._last_check_ms = now
         if interval > 0:
-            self._advance_thermal(interval)
+            self._busy_snapshot = _advance_thermal(
+                self.system, self.thermal, interval, self._busy_snapshot
+            )
         air = self.thermal.air_c()
         self.report.max_air_c = max(self.report.max_air_c, air)
         action = self.policy.decide(air, now)
@@ -524,11 +547,3 @@ class PolicyManagedSystem:
             or self._pending
         ):
             self._schedule_check()
-
-    def _advance_thermal(self, interval_ms: float) -> None:
-        busy = sum(d.stats.busy_ms for d in self.system.disks)
-        delta = busy - self._busy_snapshot
-        self._busy_snapshot = busy
-        duty = min(delta / (interval_ms * len(self.system.disks)), 1.0)
-        self.thermal.set_vcm_duty(duty)
-        self.thermal.network.step(interval_ms / 1000.0)

@@ -176,14 +176,12 @@ def _enclosure_profile(
     index: int,
     inlet_c: float,
     rpms: Sequence[float],
+    heats: Sequence[float],
 ) -> EnclosureProfile:
     drives = []
     local = inlet_c
     total_heat = 0.0
-    for slot, rpm in enumerate(rpms):
-        heat = drive_heat_w(
-            rpm, spec.diameter_in, spec.platter_count, vcm_duty=spec.vcm_duty
-        )
+    for slot, (rpm, heat) in enumerate(zip(rpms, heats)):
         internal = local + drive_air_rise_c(
             spec.diameter_in, spec.platter_count, rpm, spec.vcm_duty
         )
@@ -246,10 +244,12 @@ def rack_profile(
     _check_rpms(rack, rpms)
     # First pass: each enclosure's exhaust rise depends only on its own
     # heat and airflow, not on its inlet (linearity again), so the
-    # between-enclosure coupling resolves in one sweep.
+    # between-enclosure coupling resolves in one sweep.  The per-drive
+    # heats it computes are reused by the second pass.
+    heats = []
     rises = []
     for index, enclosure in enumerate(rack.enclosures):
-        heat = sum(
+        drive_heats = [
             drive_heat_w(
                 rpm,
                 enclosure.diameter_in,
@@ -257,11 +257,14 @@ def rack_profile(
                 vcm_duty=enclosure.vcm_duty,
             )
             for rpm in rpms[index]
+        ]
+        heats.append(drive_heats)
+        rises.append(
+            airflow_temperature_rise_c(sum(drive_heats), enclosure.airflow_m3_per_s)
         )
-        rises.append(airflow_temperature_rise_c(heat, enclosure.airflow_m3_per_s))
     inlets = enclosure_inlets_c(rack, rises)
     profiles = tuple(
-        _enclosure_profile(enclosure, index, inlets[index], rpms[index])
+        _enclosure_profile(enclosure, index, inlets[index], rpms[index], heats[index])
         for index, enclosure in enumerate(rack.enclosures)
     )
     return RackProfile(rack=rack.name, inlet_c=rack.inlet_c, enclosures=profiles)

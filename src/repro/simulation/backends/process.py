@@ -60,12 +60,18 @@ def reap_executor(executor: ProcessPoolExecutor) -> None:
     """
     table = getattr(executor, "_processes", None)
     processes = list(table.values()) if table else []
+    manager = getattr(executor, "_executor_manager_thread", None)
     executor.shutdown(wait=False, cancel_futures=True)
     for process in processes:
         if process.is_alive():
             process.terminate()
     for process in processes:
         process.join(timeout=5.0)
+    # The manager thread joins the same workers; until it is done, its
+    # waitpid can race ours and leave a reaped worker reporting
+    # is_alive().  Like the table, it is gone after shutdown().
+    if manager is not None:
+        manager.join(timeout=5.0)
 
 
 class ProcessPoolBackend(ExecutionBackend):

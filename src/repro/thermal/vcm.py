@@ -11,7 +11,7 @@ log-linearly (piecewise power law) between anchors and clamp outside them.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ThermalError
 
@@ -27,15 +27,32 @@ VCM_POWER_ANCHORS: Sequence[Tuple[float, float]] = (
 )
 
 
+#: Memoized :func:`vcm_power_w` per diameter.
+_VCM_POWER_CACHE: Dict[float, float] = {}
+
+
 def vcm_power_w(diameter_in: float) -> float:
     """Seek-mode VCM power for a platter diameter, in watts.
 
     Piecewise log-log interpolation through :data:`VCM_POWER_ANCHORS`,
     clamped at the end points (the paper likewise declines to extrapolate
-    below 1.6 inches for lack of correlations).
+    below 1.6 inches for lack of correlations).  Memoized per diameter.
     """
     if diameter_in <= 0:
         raise ThermalError(f"diameter must be positive, got {diameter_in}")
+    # Pure memo of a deterministic function of its argument: every
+    # process computes bit-identical values for a key, so copies cannot
+    # diverge observably.
+    # thermolint: disable=TL012
+    power = _VCM_POWER_CACHE.get(diameter_in)
+    if power is None:
+        power = _interpolate_vcm_power(diameter_in)
+        # thermolint: disable=TL012
+        _VCM_POWER_CACHE[diameter_in] = power
+    return power
+
+
+def _interpolate_vcm_power(diameter_in: float) -> float:
     anchors = VCM_POWER_ANCHORS
     if diameter_in <= anchors[0][0]:
         return anchors[0][1]

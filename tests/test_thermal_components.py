@@ -229,3 +229,104 @@ class TestThermalNetwork:
         net = self.make_two_node()
         edges = list(net.conductances())
         assert ("hot", "cold", 2.0) in edges
+
+
+class TestStepMatrixCache:
+    """The cached backward-Euler step matrix never changes a result."""
+
+    @staticmethod
+    def make_three_node():
+        net = ThermalNetwork(
+            [ThermalNode("air", 0.05), ThermalNode("stack", 40.0), ThermalNode("base", 900.0)],
+            ambient_c=28.0,
+        )
+        net.connect("air", "stack", 1.9)
+        net.connect("air", "base", 1.4)
+        net.connect("stack", "base", 0.5)
+        net.connect_ambient("base", 2.2)
+        net.set_heat("air", 0.9)
+        net.set_heat("stack", 10.4)
+        return net
+
+    MUTATIONS = {
+        "connect": lambda net: net.connect("air", "stack", 0.3),
+        "connect_ambient": lambda net: net.connect_ambient("stack", 0.7),
+        "set_conductance": lambda net: net.set_conductance("air", "base", 0.8),
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_step_after_mutation_matches_fresh_network(self, mutation):
+        net = self.make_three_node()
+        for _ in range(5):
+            net.step(0.1)
+        temperatures = net.temperatures.copy()
+        self.MUTATIONS[mutation](net)
+        net.step(0.1)
+        fresh = self.make_three_node()
+        self.MUTATIONS[mutation](fresh)
+        fresh.temperatures = temperatures
+        fresh.step(0.1)
+        assert net.temperatures.tobytes() == fresh.temperatures.tobytes()
+        assert net.steady_state() == fresh.steady_state()
+
+    def test_same_value_set_conductance_keeps_cached_matrix(self, monkeypatch):
+        net = self.make_three_node()
+        builds = []
+        original = ThermalNetwork._system_matrix
+
+        def spy(self):
+            builds.append(1)
+            return original(self)
+
+        monkeypatch.setattr(ThermalNetwork, "_system_matrix", spy)
+        net.step(0.1)
+        cached = net._step
+        net.set_conductance("air", "base", 1.4)
+        net.step(0.1)
+        net.steady_state()
+        assert len(builds) == 1
+        assert net._step is cached
+        net.set_conductance("air", "base", 1.5)
+        net.step(0.1)
+        assert len(builds) == 2
+
+    def test_dt_change_rebuilds_step_matrix(self):
+        net = self.make_three_node()
+        net.step(0.1)
+        cached = net._step
+        temperatures = net.temperatures.copy()
+        net.step(0.25)
+        assert net._step is not cached
+        fresh = self.make_three_node()
+        fresh.temperatures = temperatures
+        fresh.step(0.25)
+        assert net.temperatures.tobytes() == fresh.temperatures.tobytes()
+
+    def test_nodes_are_immutable(self):
+        net = self.make_three_node()
+        assert isinstance(net.nodes, tuple)
+
+
+class TestHeatMemos:
+    def test_memoized_heat_equals_its_terms(self):
+        from repro.thermal import drive_heat_w
+        from repro.thermal.model import DEFAULT_CALIBRATION
+
+        expected = (
+            viscous_power_w(17123.0, 2.6, 2)
+            + DEFAULT_CALIBRATION.spm_power_w
+            + 0.3 * vcm_power_w(2.6)
+        )
+        for _ in range(2):
+            assert drive_heat_w(17123.0, 2.6, 2, vcm_duty=0.3) == expected
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        from repro.thermal import drive_heat_w
+
+        for _ in range(2):
+            with pytest.raises(ThermalError):
+                vcm_power_w(-2.6)
+            with pytest.raises(ThermalError):
+                drive_heat_w(15000.0, 2.6, vcm_duty=1.5)
+            with pytest.raises(ThermalError):
+                drive_heat_w(-15000.0, 2.6)
