@@ -14,7 +14,7 @@ from repro.capacity.ecc import smooth_ecc_bits_per_sector
 from repro.geometry import Platter
 from repro.performance import idr_mb_per_s
 from repro.reporting import format_table
-from repro.simulation import build_system
+from repro.simulation.system import build_system
 from repro.workloads import workload
 
 

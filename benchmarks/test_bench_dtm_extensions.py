@@ -24,7 +24,7 @@ from repro.dtm import (
     mirror_headroom_rpm,
 )
 from repro.reporting import format_table
-from repro.simulation import power_report
+from repro.simulation.power import power_report
 from repro.thermal import DriveThermalModel, max_rpm_within_envelope
 from repro.workloads import WorkloadShape, generate_trace, workload
 

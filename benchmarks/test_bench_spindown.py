@@ -12,7 +12,8 @@ from conftest import run_once
 
 from repro.dtm import SpinManagedDisk, SpinPolicy
 from repro.reporting import format_table
-from repro.simulation import EventQueue, standard_disk
+from repro.simulation.disk import standard_disk
+from repro.simulation.events import EventQueue
 from repro.workloads import Trace, TraceRecord
 
 

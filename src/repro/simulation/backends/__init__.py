@@ -6,6 +6,12 @@ the name/env resolution used by the CLI (``--backend``) and the
 ``REPRO_SWEEP_BACKEND`` environment variable.  The resilience layer
 (:mod:`repro.simulation.resilience`) drives whichever backend resolves;
 see :mod:`repro.simulation.backends.base` for the protocol contract.
+
+The ``process`` and ``shared-store`` backends live in
+:mod:`~repro.simulation.backends.process` and
+:mod:`~repro.simulation.backends.shared_store` and are imported only
+when :func:`resolve_backend` builds one, so a sweep that never runs a
+task (every point a store hit) never loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -27,9 +33,7 @@ from .base import (
     TaskEnvelope,
     guarded_call,
 )
-from .process import ProcessPoolBackend, reap_executor
 from .serial import SerialBackend
-from .shared_store import DEFAULT_STALE_CLAIM_S, SharedStoreBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -38,19 +42,15 @@ __all__ = [
     "BackendProgress",
     "Completion",
     "CounterHook",
-    "DEFAULT_STALE_CLAIM_S",
     "ExecutionBackend",
     "InFlight",
     "POLL_INTERVAL_S",
-    "ProcessPoolBackend",
     "STATUS_ERROR",
     "STATUS_OK",
     "STATUS_TIMEOUT",
     "SerialBackend",
-    "SharedStoreBackend",
     "TaskEnvelope",
     "guarded_call",
-    "reap_executor",
     "resolve_backend",
     "resolve_backend_name",
 ]
@@ -98,7 +98,6 @@ def resolve_backend(
     encode: Optional[Callable[[ResultT], Any]] = None,
     decode: Optional[Callable[[Any], ResultT]] = None,
     kind: str = "",
-    stale_claim_s: float = DEFAULT_STALE_CLAIM_S,
     counters: Optional[CounterHook] = None,
 ) -> ExecutionBackend:
     """Build the backend a sweep will actually run on.
@@ -134,6 +133,8 @@ def resolve_backend(
                 "it through the cached sweep path (a workload sweep with "
                 "--store), not a raw/roadmap sweep"
             )
+        from .shared_store import SharedStoreBackend
+
         return SharedStoreBackend(
             tasks,
             worker,
@@ -142,7 +143,6 @@ def resolve_backend(
             encode=encode,
             decode=decode,
             kind=kind,
-            stale_claim_s=stale_claim_s,
             counters=counters,
         )
     from repro.simulation.sweep import resolve_workers
@@ -150,4 +150,6 @@ def resolve_backend(
     effective = resolve_workers(workers, len(tasks))
     if resolved == "serial" or effective <= 1:
         return SerialBackend(tasks, worker, counters=counters)
+    from .process import ProcessPoolBackend
+
     return ProcessPoolBackend(tasks, worker, effective, counters=counters)

@@ -19,21 +19,23 @@ worker failures — all single-threaded and deterministic, because the
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.simulation.backends import (
     BACKEND_NAMES,
-    ProcessPoolBackend,
     SerialBackend,
-    SharedStoreBackend,
-    reap_executor,
     resolve_backend,
     resolve_backend_name,
 )
+from repro.simulation.backends.process import ProcessPoolBackend, reap_executor
+from repro.simulation.backends.shared_store import SharedStoreBackend
 from repro.simulation.resilience import (
     MANIFEST_SCHEMA,
     run_sweep_cached,
@@ -247,6 +249,33 @@ def test_all_hit_process_sweep_over_one_worker_reports_serial(workers, tmp_path)
     assert warm.store_hits == len(tasks) and warm.store_misses == 0
     assert warm.results() == cold.results() == [4, 9]
     assert cold.backend == warm.backend == "serial"
+
+
+def test_process_sweep_under_spawn_matches_serial():
+    """The process backend uses the default start context, so a spawned
+    worker must rebuild its world from the task alone: ``spawn`` (and
+    forkserver, the Linux default from Python 3.14) gives it a fresh
+    interpreter that imports only what unpickling the task needs."""
+    code = (
+        "import multiprocessing\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from repro.simulation.sweep import results_json_bytes, sweep_workloads\n"
+        "kw = dict(rpm_steps=2, requests=120)\n"
+        "serial = sweep_workloads(['oltp'], workers=0, **kw)\n"
+        "spawned = sweep_workloads(['oltp'], workers=2, backend='process', **kw)\n"
+        "assert multiprocessing.get_start_method() == 'spawn'\n"
+        "assert results_json_bytes(spawned) == results_json_bytes(serial)\n"
+        "print('ok')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 # ---------------------------------------------------------------------------

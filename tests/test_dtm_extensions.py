@@ -16,15 +16,12 @@ from repro.dtm import (
     mirror_headroom_rpm,
 )
 from repro.errors import DTMError, TraceError
-from repro.simulation import (
-    EventQueue,
-    Raid1Geometry,
-    Request,
-    StorageArray,
-    energy_per_request_j,
-    power_report,
-    standard_disk,
-)
+from repro.simulation.array import StorageArray
+from repro.simulation.disk import standard_disk
+from repro.simulation.events import EventQueue
+from repro.simulation.power import energy_per_request_j, power_report
+from repro.simulation.raid import Raid1Geometry
+from repro.simulation.request import Request
 from repro.thermal import (
     DriveThermalModel,
     calibration_sensitivity,

@@ -9,7 +9,8 @@ from repro.performance.extraction import (
     extract_seek_curve,
     extraction_error,
 )
-from repro.simulation import EventQueue, standard_disk
+from repro.simulation.disk import standard_disk
+from repro.simulation.events import EventQueue
 
 
 @pytest.fixture

@@ -18,7 +18,9 @@ Each class pins one bug that existed in the seed implementation:
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation import DiskCache, EventQueue, ResponseTimeStats
+from repro.simulation.cache import DiskCache
+from repro.simulation.events import EventQueue
+from repro.simulation.statistics import ResponseTimeStats
 
 
 class TestCacheFillBounds:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.drives import drive_by_model
 from repro.errors import TraceError
-from repro.simulation import EventQueue, Request
+from repro.simulation.events import EventQueue
+from repro.simulation.request import Request
 from repro.workloads import (
     Trace,
     TraceRecord,
@@ -90,7 +91,7 @@ class TestDiskSimFormat:
         assert times == sorted(times)
 
     def test_loaded_trace_replays(self, tmp_path):
-        from repro.simulation import build_system
+        from repro.simulation.system import build_system
 
         path = tmp_path / "replay.dsim"
         write_disksim(self.make_trace(), path)

@@ -3,14 +3,11 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation import (
-    EventQueue,
-    Raid0Geometry,
-    Raid5Geometry,
-    Request,
-    StorageArray,
-    standard_disk,
-)
+from repro.simulation.array import StorageArray
+from repro.simulation.disk import standard_disk
+from repro.simulation.events import EventQueue
+from repro.simulation.raid import Raid0Geometry, Raid5Geometry
+from repro.simulation.request import Request
 
 
 def read(lba, sectors, arrival=0.0):

@@ -3,16 +3,16 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation import (
-    CACHE_HIT_MS,
-    DiskCache,
+from repro.simulation.cache import DiskCache
+from repro.simulation.disk import CACHE_HIT_MS
+from repro.simulation.request import Request
+from repro.simulation.scheduler import (
     FCFSScheduler,
     LookScheduler,
-    Request,
-    ResponseTimeStats,
     SSTFScheduler,
     make_scheduler,
 )
+from repro.simulation.statistics import ResponseTimeStats
 from repro.simulation.disk import drive_geometry
 from repro.workloads import workload
 

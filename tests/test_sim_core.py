@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ReproError, SimulationError
 from repro.performance.rotation import wait_for_angle_ms
-from repro.simulation import Request
+from repro.simulation.request import Request
 from repro.simulation.layout import DiskLayout
 from repro.simulation.mechanics import DiskMechanics
 from repro.performance.seek import SeekModel, SeekParameters

@@ -4,7 +4,8 @@ import pytest
 
 from repro.dtm.spindown import PowerState, SpinManagedDisk, SpinPolicy
 from repro.errors import DTMError
-from repro.simulation import EventQueue, standard_disk
+from repro.simulation.disk import standard_disk
+from repro.simulation.events import EventQueue
 from repro.workloads import Trace, TraceRecord
 
 

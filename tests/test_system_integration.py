@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation import build_system
+from repro.simulation.system import build_system
 from repro.workloads import Trace, TraceRecord, workload
 
 
