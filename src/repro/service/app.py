@@ -4,7 +4,7 @@ Stdlib only: ``asyncio.start_server`` plus a minimal HTTP/1.1 layer
 (request line, headers, ``Content-Length`` bodies; one request per
 connection, ``Connection: close``).  The event loop never computes — it
 parses, routes and serializes; every sweep runs in the manager's worker
-threads, and the loop only ever blocks on sockets and short sleeps, so
+threads, and the loop only ever waits on sockets and job-event wakeups, so
 one service instance multiplexes many tenants over one shared store.
 
 Lifecycle: :meth:`ServiceApp.run` binds, installs SIGTERM/SIGINT
@@ -183,17 +183,22 @@ class ServiceApp:
             writer.write(self._head(response, chunked=False) + response.body)
             await writer.drain()
             return
-        writer.write(self._head(response, chunked=True))
-        await writer.drain()
-        async for chunk in response.stream:
-            if not chunk:
-                continue
-            writer.write(f"{len(chunk):x}\r\n".encode("latin-1"))
-            writer.write(chunk)
-            writer.write(b"\r\n")
+        try:
+            writer.write(self._head(response, chunked=True))
             await writer.drain()
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+            async for chunk in response.stream:
+                if not chunk:
+                    continue
+                writer.write(f"{len(chunk):x}\r\n".encode("latin-1"))
+                writer.write(chunk)
+                writer.write(b"\r\n")
+                await writer.drain()
+            writer.write(b"0\r\n\r\n")
+            await writer.drain()
+        finally:
+            # A client gone mid-stream leaves the generator suspended;
+            # closing it now runs its cleanup (the job-watch release).
+            await response.stream.aclose()
 
     # -- lifecycle -----------------------------------------------------------
 

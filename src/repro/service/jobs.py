@@ -11,8 +11,10 @@ multi-tenant economics come from:
   config key (:func:`repro.service.schemas.job_config_key`).  A second
   tenant posting the same config while the first job is queued, running
   or done gets the *same* job back (``service.dedup_hits``), so a hot
-  config posted by N clients costs one computation.  Only a *failed* job
-  is re-runnable: resubmitting its config starts a fresh attempt.
+  config posted by N clients costs one computation.  The key is looked
+  up before the task grid is planned, so a hit costs one key, not a
+  re-plan.  Only a *failed* job is re-runnable: resubmitting its config
+  starts a fresh attempt.
 * **Restart-free resume.**  Every completed task is persisted through
   ``on_result`` the moment it lands, so a drained or killed service
   loses only in-flight attempts; resubmitting the job after restart
@@ -21,7 +23,9 @@ multi-tenant economics come from:
   same ones ``repro sweep workload`` uses, and the finished job document
   is the same :data:`repro.simulation.sweep.RESULTS_SCHEMA` document —
   fetched via ``/v1/results/<key>`` it is byte-for-byte what
-  ``--results-out`` writes.
+  ``--results-out`` writes.  A done job keeps the bytes of its first
+  (verified) store read, so repeat fetches of a hot config skip the
+  store.
 
 Graceful drain: :meth:`JobManager.drain` stops intake (submissions get a
 503), asks running jobs to stop at their next completed task (the
@@ -35,7 +39,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.service.schemas import (
@@ -111,6 +115,12 @@ class Job:
         self.store_misses = 0
         #: Monotonic event log consumed by the ``/events`` stream.
         self.events: List[Dict[str, Any]] = []
+        #: Wakers of the ``/events`` streams following this job, called
+        #: after every appended event (:meth:`JobManager.watch`).
+        self.watchers: List[Callable[[], None]] = []
+        #: The ``/v1/results`` bytes of the first store-backed fetch of a
+        #: done job, served as-is by every later fetch.
+        self.results_bytes: Optional[bytes] = None
 
     @property
     def terminal(self) -> bool:
@@ -231,24 +241,32 @@ class JobManager:
                 if config.backend is not None
                 else self._default_backend
             )
+        except ReproError as exc:
+            raise ServiceError(str(exc)) from exc
+        key = job_config_key(config)
+        # A config that validated once validates again, so a dedup hit
+        # answers before the task grid is planned.
+        with self._cond:
+            existing = self._live_job(key)
+        if existing is not None:
+            return existing, True
+        try:
             tasks = config.build_tasks()
         except ServiceError:
             raise
         except ReproError as exc:
-            # Unknown workload/engine/backend names, invalid fault or
+            # Unknown workload/engine names, invalid fault or
             # fleet-topology plans.
             raise ServiceError(str(exc)) from exc
-        key = job_config_key(config)
         task_key = config.sweep_plumbing()["task_key"]
         task_keys = [task_key(task) for task in tasks]
         task_labels = [task.label() for task in tasks]
         with self._cond:
-            existing_id = self._by_key.get(key)
-            if existing_id is not None:
-                existing = self._jobs[existing_id]
-                if existing.state != JOB_FAILED:
-                    self._count("service.dedup_hits")
-                    return existing, True
+            # Re-checked: an identical post may have registered while
+            # this one planned, and it must still compute once.
+            existing = self._live_job(key)
+            if existing is not None:
+                return existing, True
             self._seq += 1
             job = Job(
                 job_id=f"job-{self._seq:06d}-{key[:8]}",
@@ -266,6 +284,23 @@ class JobManager:
             self._count("service.jobs.submitted")
             self._ensure_worker(backend).put(job)
         return job, False
+
+    def _live_job(self, key: str) -> Optional[Job]:
+        """The job absorbing a submission of ``key`` (caller holds the lock).
+
+        That is the key's latest job unless it failed; a hit is counted
+        in ``service.dedup_hits``.
+        """
+        job = self._job_for_key(key)
+        if job is None or job.state == JOB_FAILED:
+            return None
+        self._count("service.dedup_hits")
+        return job
+
+    def _job_for_key(self, key: str) -> Optional[Job]:
+        """The latest job submitted under ``key`` (caller holds the lock)."""
+        job_id = self._by_key.get(key)
+        return self._jobs.get(job_id) if job_id is not None else None
 
     def _ensure_worker(self, backend: str) -> "queue.Queue[Optional[Job]]":
         """The submission queue for ``backend``, starting its thread."""
@@ -413,6 +448,8 @@ class JobManager:
         event.update(fields)
         job.events.append(event)
         self._cond.notify_all()
+        for notify in job.watchers:
+            notify()
 
     # -- observation ---------------------------------------------------------
 
@@ -432,6 +469,23 @@ class JobManager:
         job = self.get(job_id)
         with self._lock:
             return list(job.events[cursor:]), job.terminal
+
+    def watch(self, job_id: str, notify: Callable[[], None]) -> None:
+        """Call ``notify`` after every event appended to the job.
+
+        ``notify`` runs on whichever thread appended the event, with the
+        manager lock held, so it must only hand off (e.g. wake an event
+        loop), never block.  Pair every call with :meth:`unwatch`.
+        """
+        job = self.get(job_id)
+        with self._lock:
+            job.watchers.append(notify)
+
+    def unwatch(self, job_id: str, notify: Callable[[], None]) -> None:
+        """Drop a waker registered with :meth:`watch`."""
+        job = self.get(job_id)
+        with self._lock:
+            job.watchers.remove(notify)
 
     def wait_for_job(self, job_id: str, timeout_s: float = 60.0) -> Job:
         """Block until the job is terminal (test/CLI convenience)."""
@@ -455,32 +509,39 @@ class JobManager:
         document, byte-identical to ``repro sweep workload
         --results-out`` for the same config.  If the assembled document
         was evicted but every per-task entry survives, it is rebuilt
-        from them (and re-persisted) transparently.
+        from them (and re-persisted) transparently.  A done job keeps
+        the bytes of its first fetch, so later fetches of its key read
+        no store; per-task keys and keys of jobs from earlier processes
+        always read the store.
         """
         from repro.errors import StoreError
         from repro.store import stable_json
 
+        with self._lock:
+            job = self._job_for_key(key)
+        if job is not None and job.results_bytes is not None:
+            self._count("service.results_served")
+            return job.results_bytes
         try:
             self.store._check_key(key)
         except StoreError as exc:
             raise ServiceError(str(exc), status=400) from exc
         payload = self.store.get(key)
-        if payload is None:
-            payload = self._rebuild_results(key)
+        if payload is None and job is not None:
+            payload = self._rebuild_results(key, job)
         if payload is None:
             raise ServiceError(f"no result under key {key}", status=404)
         self._count("service.results_served")
-        return (stable_json(payload) + "\n").encode("utf-8")
+        body = (stable_json(payload) + "\n").encode("utf-8")
+        if job is not None and job.state == JOB_DONE:
+            job.results_bytes = body
+        return body
 
-    def _rebuild_results(self, key: str) -> Optional[Any]:
+    def _rebuild_results(self, key: str, job: Job) -> Optional[Any]:
         """Reassemble a job's results document from its per-task entries."""
-        with self._lock:
-            job_id = self._by_key.get(key)
-            job = self._jobs.get(job_id) if job_id is not None else None
-            task_keys = list(job.task_keys) if job is not None else None
-        if task_keys is None or job is None or job.state != JOB_DONE:
+        if job.state != JOB_DONE:
             return None
-        parts = [self.store.get(task_key) for task_key in task_keys]
+        parts = [self.store.get(task_key) for task_key in job.task_keys]
         if any(part is None for part in parts):
             return None
         document = job.config.sweep_plumbing()["document_from_payloads"](parts)

@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    AsyncIterator,
+    AsyncGenerator,
     Awaitable,
     Callable,
     Dict,
@@ -48,12 +48,7 @@ __all__ = [
     "Router",
     "build_router",
     "json_response",
-    "EVENT_POLL_S",
 ]
-
-#: How often the event stream re-checks a job for fresh events.  Small
-#: enough to feel live, large enough not to spin the lock.
-EVENT_POLL_S = 0.05
 
 #: Largest request body the service accepts (a sweep config is tiny).
 MAX_BODY_BYTES = 1 << 20
@@ -85,7 +80,7 @@ class Response:
     body: bytes = b""
     content_type: str = "application/json"
     headers: Dict[str, str] = field(default_factory=dict)
-    stream: Optional[AsyncIterator[bytes]] = None
+    stream: Optional[AsyncGenerator[bytes, None]] = None
 
 
 def json_response(payload: Any, status: int = 200) -> Response:
@@ -179,19 +174,38 @@ async def handle_job_events(
     job_id = params[0]
     app.manager.get(job_id)  # 404 before the stream starts
 
-    async def stream() -> AsyncIterator[bytes]:
-        cursor = 0
-        while True:
-            events, terminal = app.manager.events_since(job_id, cursor)
-            for event in events:
-                yield (
-                    json.dumps(event, sort_keys=True, allow_nan=False) + "\n"
-                ).encode("utf-8")
-            cursor += len(events)
-            if terminal and not events:
-                return
-            if not events:
-                await asyncio.sleep(EVENT_POLL_S)
+    async def stream() -> AsyncGenerator[bytes, None]:
+        # The manager calls ``notify`` after every event it appends,
+        # from whichever thread appended it.
+        loop = asyncio.get_running_loop()
+        wake = asyncio.Event()
+
+        def notify() -> None:
+            try:
+                loop.call_soon_threadsafe(wake.set)
+            except RuntimeError:  # the loop already closed
+                pass
+
+        app.manager.watch(job_id, notify)
+        try:
+            cursor = 0
+            while True:
+                # Cleared before reading, so an event appended after the
+                # read still sets ``wake`` and no wakeup is lost.
+                wake.clear()
+                events, terminal = app.manager.events_since(job_id, cursor)
+                for event in events:
+                    yield (
+                        json.dumps(event, sort_keys=True, allow_nan=False)
+                        + "\n"
+                    ).encode("utf-8")
+                cursor += len(events)
+                if terminal and not events:
+                    return
+                if not events:
+                    await wake.wait()
+        finally:
+            app.manager.unwatch(job_id, notify)
 
     return Response(
         content_type="application/x-ndjson", stream=stream()

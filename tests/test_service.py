@@ -4,15 +4,19 @@ Three layers:
 
 * schema/key tests — strict parsing, the material-fields-only dedup key;
 * :class:`JobManager` lifecycle — run-to-done byte-identity with the CLI
-  sweep path, concurrent duplicate submissions computing once, graceful
-  drain followed by a zero-recompute resume on a fresh manager;
+  sweep path, concurrent duplicate submissions computing once, dedup
+  hits that skip task planning, the memoised and eviction-rebuilt
+  results fetch, graceful drain followed by a zero-recompute resume on
+  a fresh manager;
 * HTTP tests against an in-process :class:`ServiceApp` on an ephemeral
   port — submit/dedup/status/events/results/metrics plus the error
-  surface (404/405/400/503).
+  surface (404/405/400/503), a push-driven event stream that never
+  sleeps, and stream wakers released on completion and on disconnect.
 """
 
 import http.client
 import json
+import sys
 import threading
 import time
 
@@ -54,6 +58,32 @@ def _manager(tmp_path, name="store"):
 def _counter(manager, name):
     metric = manager.telemetry.registry.get(name)
     return 0.0 if metric is None else metric.value
+
+
+def _expected_results():
+    """What ``--results-out`` writes for :data:`PAYLOAD`."""
+    return results_json_bytes(
+        sweep_workloads(["tpcc"], rpm_steps=2, requests=120, seed=11)
+    )
+
+
+def _wait_until(predicate, timeout_s=30.0):
+    """Poll ``predicate`` until true; a bounded wait, not a speed claim."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() >= deadline:
+            raise AssertionError(f"condition not met in {timeout_s} s")
+        time.sleep(0.01)
+
+
+def _spy(wrapped, calls):
+    """``wrapped``, recording each call in ``calls`` (binds as a method)."""
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    return spy
 
 
 class TestSchemas:
@@ -149,25 +179,36 @@ class TestJobManager:
         manager.drain(timeout_s=10.0)
 
     def test_concurrent_duplicate_submissions_compute_once(self, tmp_path):
+        # Many submitters and a tiny switch interval, so posts interleave
+        # between the unlocked planning and the locked re-check that
+        # registers the job.
         manager = _manager(tmp_path)
-        barrier = threading.Barrier(2)
+        posts = 8
+        barrier = threading.Barrier(posts)
         outcomes = []
 
         def submit():
             barrier.wait()
             outcomes.append(manager.submit(PAYLOAD))
 
-        threads = [threading.Thread(target=submit) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(outcomes) == 2
-        (job_a, dedup_a), (job_b, dedup_b) = outcomes
-        assert job_a.id == job_b.id
-        assert sorted([dedup_a, dedup_b]) == [False, True]
+        threads = [threading.Thread(target=submit) for _ in range(posts)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == posts
+        job_a = outcomes[0][0]
+        assert {job.id for job, _ in outcomes} == {job_a.id}
+        flags = sorted(deduped for _, deduped in outcomes)
+        assert flags == [False] + [True] * (posts - 1)
         assert len(manager.jobs()) == 1
-        assert _counter(manager, "service.dedup_hits") == 1.0
+        assert _counter(manager, "service.dedup_hits") == posts - 1
         manager.wait_for_job(job_a.id, timeout_s=60.0)
         assert job_a.state == JOB_DONE
         # The one computation has zero store hits: nothing was cached.
@@ -182,6 +223,108 @@ class TestJobManager:
         again, deduped = manager.submit(PAYLOAD)
         assert deduped
         assert again.id == job.id
+        manager.drain(timeout_s=10.0)
+
+    def test_dedup_hit_skips_task_planning(self, tmp_path, monkeypatch):
+        import repro.simulation.sweep as sweep_module
+
+        manager = _manager(tmp_path)
+        job, _ = manager.submit(PAYLOAD)
+        manager.wait_for_job(job.id, timeout_s=60.0)
+        plans, keys = [], []
+        monkeypatch.setattr(
+            SweepJobConfig,
+            "build_tasks",
+            _spy(SweepJobConfig.build_tasks, plans),
+        )
+        monkeypatch.setattr(
+            sweep_module,
+            "workload_task_key",
+            _spy(sweep_module.workload_task_key, keys),
+        )
+        again, deduped = manager.submit(PAYLOAD)
+        assert deduped
+        assert again is job
+        assert (len(plans), len(keys)) == (0, 0)
+        # A miss still plans: the spies are live on the submission path.
+        other, deduped = manager.submit(dict(PAYLOAD, seed=12))
+        assert not deduped
+        assert len(plans) >= 1
+        assert len(keys) >= len(other.task_keys) == 2
+        manager.wait_for_job(other.id, timeout_s=60.0)
+        manager.drain(timeout_s=10.0)
+
+    def test_dedup_hit_still_validates_backend(self, tmp_path):
+        manager = _manager(tmp_path)
+        job, _ = manager.submit(PAYLOAD)
+        manager.wait_for_job(job.id, timeout_s=60.0)
+        with pytest.raises(ServiceError) as exc:
+            manager.submit(dict(PAYLOAD, backend="no-such-backend"))
+        assert exc.value.status == 400
+        assert "no-such-backend" in str(exc.value)
+        assert _counter(manager, "service.dedup_hits") == 0.0
+        manager.drain(timeout_s=10.0)
+
+    def test_failed_job_config_gets_a_new_job(self, tmp_path, monkeypatch):
+        import repro.simulation.resilience as resilience
+
+        real = resilience.run_sweep_cached
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected sweep failure")
+
+        manager = _manager(tmp_path)
+        monkeypatch.setattr(resilience, "run_sweep_cached", broken)
+        job, _ = manager.submit(PAYLOAD)
+        manager.wait_for_job(job.id, timeout_s=60.0)
+        assert job.state == JOB_FAILED
+        assert "injected sweep failure" in job.error
+        monkeypatch.setattr(resilience, "run_sweep_cached", real)
+        retry, deduped = manager.submit(PAYLOAD)
+        assert not deduped
+        assert retry.id != job.id
+        assert retry.key == job.key
+        manager.wait_for_job(retry.id, timeout_s=60.0)
+        assert retry.state == JOB_DONE
+        assert manager.results_bytes(retry.key) == _expected_results()
+        manager.drain(timeout_s=10.0)
+
+    def test_results_rebuilt_after_eviction_then_served_from_memory(
+        self, tmp_path, monkeypatch
+    ):
+        manager = _manager(tmp_path)
+        store = manager.store
+        job, _ = manager.submit(PAYLOAD)
+        manager.wait_for_job(job.id, timeout_s=60.0)
+        assert job.state == JOB_DONE
+        # Evict the assembled document; the per-task entries survive.
+        store.path_for(job.key).unlink()
+        expected = _expected_results()
+        assert manager.results_bytes(job.key) == expected
+        assert store.path_for(job.key).exists()  # re-persisted
+        gets = []
+        monkeypatch.setattr(store, "get", _spy(store.get, gets))
+        assert manager.results_bytes(job.key) == expected
+        assert gets == []
+        monkeypatch.undo()
+        # The re-persisted document is the same canonical payload.
+        assert (
+            json.dumps(store.get(job.key), sort_keys=True)
+            == json.dumps(json.loads(expected), sort_keys=True)
+        )
+        manager.drain(timeout_s=10.0)
+
+    def test_results_404_when_document_and_a_task_entry_are_gone(self, tmp_path):
+        manager = _manager(tmp_path)
+        store = manager.store
+        job, _ = manager.submit(PAYLOAD)
+        manager.wait_for_job(job.id, timeout_s=60.0)
+        store.path_for(job.key).unlink()
+        store.path_for(job.task_keys[0]).unlink()
+        with pytest.raises(ServiceError) as exc:
+            manager.results_bytes(job.key)
+        assert exc.value.status == 404
+        assert job.results_bytes is None
         manager.drain(timeout_s=10.0)
 
     def test_drain_then_restart_resumes_with_zero_recompute(self, tmp_path):
@@ -328,7 +471,13 @@ class _Service:
 
 
 class TestHTTP:
-    def test_full_lifecycle_over_http(self, tmp_path):
+    def test_full_lifecycle_over_http(self, tmp_path, monkeypatch):
+        async def no_sleep(*args, **kwargs):
+            raise AssertionError("the event stream must not poll")
+
+        # The stream is push-driven: it must run queued -> done without
+        # ever sleeping between checks.
+        monkeypatch.setattr("repro.service.routes.asyncio.sleep", no_sleep)
         with _Service(tmp_path) as service:
             status, health = service.json("GET", "/healthz")
             assert (status, health["status"]) == (200, "ok")
@@ -356,6 +505,8 @@ class TestHTTP:
             assert kinds[-1] == "job_done"
             assert kinds.count("task_done") == 2
             assert [e["seq"] for e in events] == list(range(len(events)))
+            job = service.app.manager.get(job_id)
+            _wait_until(lambda: not job.watchers)
 
             status, doc = service.json("GET", f"/v1/jobs/{job_id}")
             assert status == 200
@@ -366,13 +517,13 @@ class TestHTTP:
             assert status == 200
             assert [j["id"] for j in listing["jobs"]] == [job_id]
 
-            # Results bytes match the CLI sweep path exactly.
+            # Results bytes match the CLI sweep path exactly, and a
+            # repeat fetch (served from memory) matches the first.
             status, body = service.request("GET", f"/v1/results/{key}")
             assert status == 200
-            expected = results_json_bytes(
-                sweep_workloads(["tpcc"], rpm_steps=2, requests=120, seed=11)
-            )
-            assert body == expected
+            assert body == _expected_results()
+            status, again = service.request("GET", f"/v1/results/{key}")
+            assert (status, again) == (200, body)
 
             # Metrics carry the instance label and parse back.
             from repro.reporting import parse_prometheus_text
@@ -406,3 +557,23 @@ class TestHTTP:
 
             status, _ = service.request("POST", "/v1/jobs", None)
             assert status == 400  # empty body is not valid JSON
+
+    def test_events_disconnect_mid_job_releases_its_waker(self, tmp_path):
+        payload = dict(PAYLOAD, rpm_steps=4)
+        with _Service(tmp_path) as service:
+            status, doc = service.json("POST", "/v1/jobs", payload)
+            assert status == 201
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", service.app.port, timeout=60
+            )
+            conn.request("GET", f"/v1/jobs/{doc['id']}/events")
+            response = conn.getresponse()
+            first = json.loads(response.readline())
+            assert first["event"] == "job_queued"
+            # Walk away mid-stream.
+            response.close()
+            conn.close()
+            manager = service.app.manager
+            job = manager.wait_for_job(doc["id"], timeout_s=60.0)
+            assert job.state == JOB_DONE
+            _wait_until(lambda: not job.watchers)

@@ -3,7 +3,9 @@
 
 Boots the real service as a subprocess on an ephemeral port, submits the
 canonical smoke sweep twice (the second submission must dedup against
-the first), waits for the job, writes the fetched ``/v1/results/<key>``
+the first), follows the job's ``/events`` stream to its terminal event,
+fetches ``/v1/results/<key>`` twice (the repeat is served from memory
+and must be byte-equal to the first, store-backed fetch), writes those
 bytes to ``--out`` (CI then ``cmp``'s them against a ``repro sweep
 workload --results-out`` artifact for byte-identity), scrapes
 ``/metrics`` — asserting the exposition parses back and the dedup
@@ -28,7 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 PAYLOAD = {
     "workloads": ["tpcc", "oltp"],
@@ -48,6 +50,18 @@ def request(
         conn.request(method, path, body=body)
         response = conn.getresponse()
         return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def follow_events(port: int, job_id: str) -> List[Any]:
+    """The job's whole event stream, read until the server closes it."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        conn.request("GET", f"/v1/jobs/{job_id}/events")
+        response = conn.getresponse()
+        assert response.status == 200, response.status
+        return [json.loads(line) for line in response]
     finally:
         conn.close()
 
@@ -117,14 +131,15 @@ def main() -> int:
         assert second["id"] == first["id"]
         print(f"dedup confirmed: both submissions map to {first['id']}")
 
-        deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline:
-            status, body = request(port, "GET", f"/v1/jobs/{first['id']}")
-            assert status == 200, (status, body)
-            doc = json.loads(body)
-            if doc["state"] in ("done", "failed"):
-                break
-            time.sleep(0.2)
+        events = follow_events(port, first["id"])
+        assert [e["seq"] for e in events] == list(range(len(events))), events
+        assert events[0]["event"] == "job_queued", events[0]
+        assert events[-1]["event"] == "job_done", events[-1]
+        print(f"event stream: {len(events)} events, queued -> done")
+
+        status, body = request(port, "GET", f"/v1/jobs/{first['id']}")
+        assert status == 200, (status, body)
+        doc = json.loads(body)
         assert doc["state"] == "done", doc
         progress = doc["progress"]
         print(
@@ -136,6 +151,9 @@ def main() -> int:
             port, "GET", f"/v1/results/{first['key']}"
         )
         assert status == 200, status
+        status, again = request(port, "GET", f"/v1/results/{first['key']}")
+        assert status == 200, status
+        assert again == results, "repeat results fetch differs from the first"
         with open(args.out, "wb") as handle:
             handle.write(results)
         print(f"results: {len(results)} bytes -> {args.out}")
